@@ -17,6 +17,7 @@ import (
 
 	"ftclust/internal/core"
 	"ftclust/internal/graph"
+	"ftclust/internal/rng"
 )
 
 // benchReport is the top-level BENCH_core.json document.
@@ -30,7 +31,12 @@ type benchReport struct {
 	// graphs (graph.GnpGenerator); the geometric-skip rewrite changed the
 	// per-seed edge sets, so reports across generator versions are not
 	// instance-for-instance comparable.
-	GnpGenerator string        `json:"gnp_generator"`
+	GnpGenerator string `json:"gnp_generator"`
+	// RngGenerator records the per-node stream generator
+	// (rng.StreamGenerator): every coin and permutation of the rounding
+	// phase comes from it, so |S| for equal seeds is comparable only
+	// across equal generator versions.
+	RngGenerator string        `json:"rng_generator"`
 	Scale        float64       `json:"scale"`
 	Benchmarks   []benchRecord `json:"benchmarks"`
 }
@@ -95,6 +101,7 @@ func runBenchJSON(path string, scale float64) error {
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		NumCPU:       runtime.NumCPU(),
 		GnpGenerator: graph.GnpGenerator,
+		RngGenerator: rng.StreamGenerator,
 		Scale:        scale,
 	}
 

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"ftclust/internal/graph"
+	"ftclust/internal/rng"
 	"ftclust/internal/service"
 )
 
@@ -288,6 +289,7 @@ func runLoadJSON(path string, scale float64, dur time.Duration) error {
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	rep.NumCPU = runtime.NumCPU()
 	rep.GnpGenerator = graph.GnpGenerator
+	rep.RngGenerator = rng.StreamGenerator
 	rep.Scale = scale
 	rep.Load = &rec
 	fmt.Fprintf(os.Stderr,

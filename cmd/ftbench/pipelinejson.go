@@ -24,6 +24,7 @@ import (
 
 	"ftclust"
 	"ftclust/internal/graph"
+	"ftclust/internal/rng"
 	"ftclust/internal/service"
 )
 
@@ -38,9 +39,10 @@ type pipelineReport struct {
 	GoVersion   string `json:"go_version"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	NumCPU      int    `json:"num_cpu"`
-	// GnpGenerator records the Gnp implementation in effect (see
-	// benchReport.GnpGenerator).
+	// GnpGenerator and RngGenerator record the Gnp implementation and
+	// the per-node stream generator in effect (see benchReport).
 	GnpGenerator string           `json:"gnp_generator"`
+	RngGenerator string           `json:"rng_generator"`
 	Scale        float64          `json:"scale"`
 	Stages       []pipelineRecord `json:"stages"`
 	// ObserverOverheadPct is the warm-solve cost of full observer
@@ -103,6 +105,7 @@ func runPipelineJSON(path string, scale float64, loadDur time.Duration) error {
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		NumCPU:       runtime.NumCPU(),
 		GnpGenerator: graph.GnpGenerator,
+		RngGenerator: rng.StreamGenerator,
 		Scale:        scale,
 	}
 	measure := func(op string, n, m, k, t int, fn func() error) error {

@@ -149,7 +149,8 @@ type ChurnPatch struct {
 	Entered, Left []NodeID
 	// AddedNodes are the IDs assigned to AddNodeOp ops, in op order.
 	AddedNodes []NodeID
-	// Iterations is the number of promotion rounds the repair ran.
+	// Iterations is the number of promotion passes the repair ran: 1 when
+	// the batch left a deficit, else 0.
 	Iterations int
 	// Touched counts distinct nodes the repair inspected — the damage
 	// proportionality measure (scales with the dirty region, not n).

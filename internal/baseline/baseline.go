@@ -148,8 +148,10 @@ func JRS(g *graph.Graph, k float64, seed int64) JRSResult {
 func RandomRepair(g *graph.Graph, k float64, p float64, seed int64) []bool {
 	n := g.NumNodes()
 	inSet := make([]bool, n)
+	r := rng.NewStream(0, 0) // re-seeded to node v's stream v+1 below
 	for v := 0; v < n; v++ {
-		if rng.NewStream(seed, uint64(v)+1).Float64() < p {
+		rng.Reseed(r, seed, uint64(v)+1)
+		if r.Float64() < p {
 			inSet[v] = true
 		}
 	}

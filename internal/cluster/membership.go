@@ -68,10 +68,27 @@ type membership struct {
 	mu    sync.Mutex
 	self  string
 	peers map[string]*peer
+	// gone holds a tombstone per evicted peer: its last known entry and
+	// the eviction time. Without it a survivor that evicted a dead peer
+	// readmits it from the digest of a survivor that has not yet, and
+	// the two pass the dead row back and forth forever.
+	gone map[string]tombstone
+}
+
+// tombstone is an evicted peer's last table entry.
+type tombstone struct {
+	info      PeerInfo
+	evictedAt time.Time
 }
 
 func newMembership(self string) *membership {
-	return &membership{self: self, peers: make(map[string]*peer)}
+	return &membership{self: self, peers: make(map[string]*peer), gone: make(map[string]tombstone)}
+}
+
+// fresher reports whether a is a strictly newer liveness entry than b:
+// a higher epoch, or the same epoch with a higher heartbeat.
+func fresher(a, b PeerInfo) bool {
+	return a.Epoch > b.Epoch || (a.Epoch == b.Epoch && a.Heartbeat > b.Heartbeat)
 }
 
 // insertSeed primes the table with a bootstrap address. Epoch 0 loses to
@@ -88,7 +105,9 @@ func (m *membership) insertSeed(addr string, now time.Time) {
 // membership transitions (joins and incarnation bumps) in wire order.
 // Self entries are ignored (this node is authoritative for itself);
 // stale entries (older epoch, or equal epoch without a heartbeat
-// advance) leave the row untouched so suspicion keeps accruing.
+// advance) leave the row untouched so suspicion keeps accruing, and an
+// evicted peer is readmitted only by an entry strictly fresher than its
+// tombstone.
 func (m *membership) merge(infos []PeerInfo, now time.Time) (changes []memberChange) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -98,12 +117,15 @@ func (m *membership) merge(infos []PeerInfo, now time.Time) (changes []memberCha
 		}
 		p, ok := m.peers[in.Addr]
 		if !ok {
+			if t, dead := m.gone[in.Addr]; dead && !fresher(in, t.info) {
+				continue
+			}
+			delete(m.gone, in.Addr)
 			m.peers[in.Addr] = &peer{info: in, lastSeen: now}
 			changes = append(changes, classify(in.Addr, 0, in.Epoch))
 			continue
 		}
-		if in.Epoch > p.info.Epoch ||
-			(in.Epoch == p.info.Epoch && in.Heartbeat > p.info.Heartbeat) {
+		if fresher(in, p.info) {
 			if in.Epoch > p.info.Epoch {
 				changes = append(changes, classify(in.Addr, p.info.Epoch, in.Epoch))
 			}
@@ -117,16 +139,24 @@ func (m *membership) merge(infos []PeerInfo, now time.Time) (changes []memberCha
 
 // age classifies every row against the liveness deadlines: rows without
 // a fresh heartbeat for suspectAfter turn suspect, rows beyond
-// evictAfter are removed. It returns the addresses that transitioned,
-// for logging and the eviction counter.
+// evictAfter are removed and leave a tombstone, and tombstones older
+// than 2×evictAfter are pruned (by then every survivor has evicted the
+// row too). It returns the addresses that transitioned, for logging and
+// the eviction counter.
 func (m *membership) age(now time.Time, suspectAfter, evictAfter time.Duration) (suspected, evicted []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	for addr, t := range m.gone {
+		if now.Sub(t.evictedAt) > 2*evictAfter {
+			delete(m.gone, addr)
+		}
+	}
 	for addr, p := range m.peers {
 		idle := now.Sub(p.lastSeen)
 		switch {
 		case idle > evictAfter:
 			delete(m.peers, addr)
+			m.gone[addr] = tombstone{info: p.info, evictedAt: now}
 			evicted = append(evicted, addr)
 		case idle > suspectAfter && p.state == peerAlive:
 			p.state = peerSuspect
@@ -229,8 +259,9 @@ func (m *membership) size() int {
 }
 
 // touch refreshes a peer's liveness from direct contact (an inbound
-// gossip message or a successful exchange), inserting it if unknown,
-// and reports the resulting transitions like merge does.
+// gossip message or a successful exchange), inserting it if unknown —
+// a tombstone included: a peer that talks to us is alive — and reports
+// the resulting transitions like merge does.
 func (m *membership) touch(in PeerInfo, now time.Time) (changes []memberChange) {
 	if in.Addr == "" || in.Addr == m.self {
 		return nil
@@ -239,6 +270,7 @@ func (m *membership) touch(in PeerInfo, now time.Time) (changes []memberChange) 
 	defer m.mu.Unlock()
 	p, ok := m.peers[in.Addr]
 	if !ok {
+		delete(m.gone, in.Addr)
 		m.peers[in.Addr] = &peer{info: in, lastSeen: now}
 		return []memberChange{classify(in.Addr, 0, in.Epoch)}
 	}

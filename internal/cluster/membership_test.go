@@ -115,6 +115,85 @@ func TestAgeSuspicionAndEviction(t *testing.T) {
 	}
 }
 
+// Two survivors of a dead peer evict it at different times (one heard
+// its last heartbeat later). The one that evicts first keeps receiving
+// the other's row for the dead peer; without a tombstone it readmits the
+// row as fresh, the other readmits it back after its own eviction, and
+// the dead row circulates forever.
+func TestEvictedPeerIsNotReadmittedByGossip(t *testing.T) {
+	const suspectAfter, evictAfter = 2 * time.Second, 5 * time.Second
+	t0 := time.Unix(1700000000, 0)
+	a, b := newMembership("a:1"), newMembership("b:1")
+	selfA := PeerInfo{Addr: "a:1", Epoch: 1}
+	selfB := PeerInfo{Addr: "b:1", Epoch: 1}
+	dead := PeerInfo{Addr: "dead:1", Epoch: 3, Heartbeat: 40}
+	a.merge([]PeerInfo{dead}, t0)
+	b.merge([]PeerInfo{dead}, t0.Add(1500*time.Millisecond))
+
+	// 30 s of push-pull exchanges every 500 ms, then aging, as the gossip
+	// loop runs them.
+	for tick := 1; tick <= 60; tick++ {
+		now := t0.Add(time.Duration(tick) * 500 * time.Millisecond)
+		selfA.Heartbeat++
+		selfB.Heartbeat++
+		a.touch(selfB, now)
+		a.merge(b.digest(selfB, 0), now)
+		b.touch(selfA, now)
+		b.merge(a.digest(selfA, 0), now)
+		a.age(now, suspectAfter, evictAfter)
+		b.age(now, suspectAfter, evictAfter)
+	}
+	if got := a.members(); !reflect.DeepEqual(got, []string{"a:1", "b:1"}) {
+		t.Errorf("a's members = %v, want [a:1 b:1]", got)
+	}
+	if got := b.members(); !reflect.DeepEqual(got, []string{"a:1", "b:1"}) {
+		t.Errorf("b's members = %v, want [a:1 b:1]", got)
+	}
+	// Both evicted the dead peer more than 2×evictAfter ago, so both
+	// tombstones are pruned.
+	if len(a.gone) != 0 || len(b.gone) != 0 {
+		t.Errorf("tombstones not pruned: a=%v b=%v", a.gone, b.gone)
+	}
+}
+
+// A tombstone blocks only entries that are not fresher than it: a
+// heartbeat advance or a restart readmits the peer through gossip, and
+// direct contact readmits it unconditionally.
+func TestTombstoneReadmission(t *testing.T) {
+	const suspectAfter, evictAfter = 2 * time.Second, 5 * time.Second
+	t0 := time.Unix(1700000000, 0)
+	m := newMembership("self:1")
+	p := PeerInfo{Addr: "p:1", Epoch: 3, Heartbeat: 7}
+	evict := func(at time.Time) {
+		t.Helper()
+		if _, evicted := m.age(at, suspectAfter, evictAfter); !reflect.DeepEqual(evicted, []string{"p:1"}) {
+			t.Fatalf("evicted = %v, want [p:1]", evicted)
+		}
+	}
+	member := func() bool { return m.size() == 2 }
+
+	m.merge([]PeerInfo{p}, t0)
+	evict(t0.Add(6 * time.Second))
+	if m.merge([]PeerInfo{p}, t0.Add(7*time.Second)); member() {
+		t.Fatal("gossip with the evicted heartbeat readmitted the peer")
+	}
+	p.Heartbeat = 8
+	if m.merge([]PeerInfo{p}, t0.Add(8*time.Second)); !member() {
+		t.Fatal("a heartbeat advance past the tombstone must readmit the peer")
+	}
+	evict(t0.Add(14 * time.Second))
+	if m.merge([]PeerInfo{{Addr: "p:1", Epoch: 4, Heartbeat: 1}}, t0.Add(15*time.Second)); !member() {
+		t.Fatal("a restarted incarnation must readmit the peer")
+	}
+	evict(t0.Add(21 * time.Second))
+	if m.touch(PeerInfo{Addr: "p:1", Epoch: 4, Heartbeat: 1}, t0.Add(22*time.Second)); !member() {
+		t.Fatal("direct contact must readmit the peer")
+	}
+	if len(m.gone) != 0 {
+		t.Fatalf("readmitted peer kept its tombstone: %v", m.gone)
+	}
+}
+
 func TestTouchRefreshesOnEqualHeartbeat(t *testing.T) {
 	m := newMembership("self:1")
 	t0 := time.Unix(1700000000, 0)

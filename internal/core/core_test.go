@@ -159,6 +159,32 @@ func TestRoundingFeasibleWithRepair(t *testing.T) {
 	}
 }
 
+// RoundSolution without a scratch allocates a constant number of objects
+// whatever n: its arrays, one lane and one generator — never a generator
+// per node, which is what made rounding cost one seed per node. Each
+// kernel is pinned on its own (the Auto gate picks by density, which
+// differs between the two sizes).
+func TestRoundingAllocsIndependentOfN(t *testing.T) {
+	allocs := func(n int, mode BitsetMode) float64 {
+		g := graph.GnpAvgDegree(n, 12, 3)
+		k := EffectiveDemands(g, 2)
+		frac, err := SolveFractional(g, k, FractionalOptions{T: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := RoundSolution(g, k, frac.X, frac.Delta, RoundingOptions{Seed: 1, Bitset: mode}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, mode := range []BitsetMode{BitsetOff, BitsetOn} {
+		if small, big := allocs(1000, mode), allocs(5000, mode); small != big {
+			t.Errorf("bitset mode %d: RoundSolution allocates %v objects at n=1000 but %v at n=5000", mode, small, big)
+		}
+	}
+}
+
 func TestRoundingWithoutRepairCanFail(t *testing.T) {
 	// Ablation: with the REQ step disabled, some instance/seed must yield
 	// an infeasible solution — that is the point of the repair step. The

@@ -74,6 +74,41 @@ func TestProgramMatchesEngineRounding(t *testing.T) {
 	}
 }
 
+// The dense instances above saturate the sampling probabilities, so REQ
+// rarely has a choice to make. On sparse graphs with k = 1 deficient
+// nodes draw a permutation over several candidates — from the second
+// and later draws of their stream, after the sampling coin — and the
+// engine, which re-seeds one generator per worker to each node's stream,
+// must recruit exactly the nodes the simulator's long-lived per-node
+// streams recruit.
+func TestProgramMatchesEngineRoundingRepairs(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"grid": graph.Grid(9, 9),
+		"ring": graph.Ring(60),
+		"tree": graph.RandomTree(70, 4),
+	}
+	repaired := 0
+	for name, g := range graphs {
+		for seed := int64(1); seed <= 6; seed++ {
+			eng, err := Solve(g, Options{K: 1, T: 2, Seed: seed})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			repaired += eng.Rounding.Repaired
+			out, _ := runProgram(t, g, ProgramConfig{K: 1, T: 2, Delta: g.MaxDegree(), Round: true}, seed)
+			for v := range eng.InSet {
+				if eng.InSet[v] != out.InSet[v] {
+					t.Fatalf("%s seed %d node %d: engine in=%v program in=%v",
+						name, seed, v, eng.InSet[v], out.InSet[v])
+				}
+			}
+		}
+	}
+	if repaired == 0 {
+		t.Fatal("no REQ recruit on any instance; the test exercised no permutation draw")
+	}
+}
+
 func TestProgramRoundCount(t *testing.T) {
 	// The distributed pipeline costs 2t² loop rounds plus four
 	// bookkeeping rounds (dual send, dual recv + sample, REQ send,

@@ -21,9 +21,10 @@ type RoundingOptions struct {
 	// experiment that demonstrates the repair step is what guarantees
 	// feasibility.
 	SkipRepair bool
-	// Workers distributes the sampling and repair sweeps over this many
-	// goroutines (≤ 1 = sequential). Each node consumes only its own
-	// random stream, so results are bit-identical for every worker count.
+	// Workers distributes the REQ repair sweep over this many goroutines
+	// (≤ 1 = sequential); the sampling coins are one O(1) draw per node and
+	// stay sequential. Each node consumes only its own random stream, so
+	// results are bit-identical for every worker count.
 	Workers int
 	// Bitset selects the packed-row kernels for the REQ coverage and
 	// candidate scans; see BitsetMode. Results are identical either way.
@@ -33,8 +34,7 @@ type RoundingOptions struct {
 	// ErrCanceled.
 	Ctx context.Context
 	// Scratch, when non-nil, supplies the rounding buffers and the
-	// per-node random streams from a reusable arena (streams are re-seeded
-	// in place — state-identical to fresh ones, so results never change).
+	// per-worker generators from a reusable arena (results never change).
 	// The returned InSet then aliases the arena; see Scratch.
 	Scratch *Scratch
 
@@ -101,40 +101,30 @@ func roundWithLayout(lay *layout, k []float64, x []float64, delta int, opts Roun
 		defer pool.Stop()
 	}
 
-	// Sampling (Line 2). Seeding a per-node stream is the expensive part
-	// (rand.NewSource initializes a large state), so the sweep is worth
-	// parallelizing even before any graph work happens — and with a
-	// scratch the cached streams are re-seeded in place instead of
-	// reallocated, which removes the n allocations entirely.
 	scratch := opts.Scratch
 	var inSet []bool
-	var rnds []*rand.Rand
+	var recruit []uint32
 	if scratch != nil {
 		scratch.inSet = growZero(scratch.inSet, n)
-		scratch.rnds = growKeep(scratch.rnds, n)
-		inSet, rnds = scratch.inSet, scratch.rnds
+		scratch.recruit = growZero(scratch.recruit, n)
+		inSet, recruit = scratch.inSet, scratch.recruit
 	} else {
 		inSet = make([]bool, n)
-		rnds = make([]*rand.Rand, n)
+		recruit = make([]uint32, n)
 	}
-	// Closure literals handed to the pool heap-allocate even when they
-	// never run (fn reaches a goroutine), so both sweeps keep them in the
-	// pool != nil branch and call the named body directly otherwise — the
-	// sequential scratch path must not allocate at all. (Two literals per
-	// solve here, constant; the per-round fractional sweeps cache theirs.)
-	sampled := 0
+	workers := 1
 	if pool != nil {
-		pool.Run(n, func(_, lo, hi int) {
-			sampleSweep(lo, hi, opts.Seed, lnD, x, rnds, inSet)
-		})
-	} else {
-		sampleSweep(0, n, opts.Seed, lnD, x, rnds, inSet)
+		workers = pool.Workers()
 	}
-	for v := 0; v < n; v++ {
-		if inSet[v] {
-			sampled++
-		}
+	maxClosed := lay.maxSize()
+	lanes := lanesFor(scratch, workers)
+	for i := range lanes {
+		lanes[i].reset(maxClosed)
 	}
+
+	// Sampling (Line 2) stays sequential on lane 0's generator: seeding a
+	// stream is O(1).
+	sampled := sampleCoins(lanes[0].rnd, x[:n], lnD, opts.Seed, inSet)
 	if opts.SkipRepair {
 		return RoundingResult{InSet: inSet, Sampled: sampled}, nil
 	}
@@ -147,16 +137,8 @@ func roundWithLayout(lay *layout, k []float64, x []float64, delta int, opts Roun
 	// helps). inSet is frozen here, every node reads its own stream, and
 	// recruit slots only ever receive the value 1, so the sweep is
 	// order-independent; atomic stores keep the parallel path race-free.
-	// Buffers: the sequential scratch path reuses one candidate/perm
-	// pair, the pooled path carves one pair per worker lane from the
-	// arena (never per node or per chunk).
-	var recruit []uint32
-	if scratch != nil {
-		scratch.recruit = growZero(scratch.recruit, n)
-		recruit = scratch.recruit
-	} else {
-		recruit = make([]uint32, n)
-	}
+	// Each pool worker owns one lane (candidate and permutation buffers
+	// plus a generator), never one per node or per chunk.
 
 	// Packed kernels: with inSet frozen, coverage is popcount(row &
 	// members) and candidates are the set bits of row &^ members.
@@ -174,37 +156,17 @@ func roundWithLayout(lay *layout, k []float64, x []float64, delta int, opts Roun
 		bits.rebuild(lay)
 	}
 
-	maxClosed := lay.maxSize()
+	// Closure literals handed to the pool heap-allocate even when they
+	// never run (fn reaches a goroutine), so the literal stays in the
+	// pool != nil branch and the sequential path calls the named body
+	// directly — the sequential scratch path must not allocate at all.
+	seed := opts.Seed
 	if pool != nil {
-		lanes := lanesFor(scratch, pool.Workers())
-		for i := range lanes {
-			lanes[i].cand = growNoClear(lanes[i].cand, maxClosed)[:0]
-			lanes[i].perm = growNoClear(lanes[i].perm, maxClosed)
-		}
 		pool.Run(n, func(worker, lo, hi int) {
-			ln := &lanes[worker]
-			if bits != nil {
-				reqSweepBits(lo, hi, lay, bits, inBits, k, rnds, recruit, ln.cand, ln.perm)
-			} else {
-				reqSweep(lo, hi, lay, k, inSet, rnds, recruit, ln.cand, ln.perm)
-			}
+			reqSweep(lo, hi, lay, bits, inBits, k, inSet, seed, recruit, &lanes[worker])
 		})
 	} else {
-		var candidates []graph.NodeID
-		var permBuf []int
-		if scratch != nil {
-			scratch.cand = growNoClear(scratch.cand, maxClosed)[:0]
-			scratch.perm = growNoClear(scratch.perm, maxClosed)
-			candidates, permBuf = scratch.cand, scratch.perm
-		} else {
-			candidates = make([]graph.NodeID, 0, maxClosed)
-			permBuf = make([]int, maxClosed)
-		}
-		if bits != nil {
-			reqSweepBits(0, n, lay, bits, inBits, k, rnds, recruit, candidates, permBuf)
-		} else {
-			reqSweep(0, n, lay, k, inSet, rnds, recruit, candidates, permBuf)
-		}
+		reqSweep(0, n, lay, bits, inBits, k, inSet, seed, recruit, &lanes[0])
 	}
 	repaired := 0
 	for v := 0; v < n; v++ {
@@ -216,57 +178,55 @@ func roundWithLayout(lay *layout, k []float64, x []float64, delta int, opts Roun
 	return RoundingResult{InSet: inSet, Sampled: sampled, Repaired: repaired}, nil
 }
 
-// sampleSweep runs the sampling round (Line 2) for nodes in [lo, hi).
-func sampleSweep(lo, hi int, seed int64, lnD float64, x []float64, rnds []*rand.Rand, inSet []bool) {
-	for v := lo; v < hi; v++ {
-		r := streamFor(rnds, seed, v)
-		p := math.Min(1, x[v]*lnD)
-		if r.Float64() < p {
-			inSet[v] = true
-		}
-	}
-}
-
-// reqSweep runs the REQ round (Lines 4–7) for nodes in [lo, hi), using the
-// caller-supplied candidate/permutation buffers.
-func reqSweep(lo, hi int, lay *layout, k []float64, inSet []bool, rnds []*rand.Rand, recruit []uint32, candidates []graph.NodeID, permBuf []int) {
+// reqSweep runs the REQ round (Lines 4–7) for nodes in [lo, hi) with the
+// lane's buffers and generator. With non-nil bits the coverage count and
+// candidate collection run on the packed rows: identical deficits (exact
+// integer coverage either way) and identical candidate order (ascending
+// bit order = ascending CSR order), so identical recruits and draws.
+func reqSweep(lo, hi int, lay *layout, bits *bitRows, inBits []uint64, k []float64, inSet []bool, seed int64, recruit []uint32, ln *reqLane) {
 	for v := lo; v < hi; v++ {
 		closed := lay.closed(v)
 		cov := 0
-		for _, w := range closed {
-			if inSet[w] {
-				cov++
+		if bits != nil {
+			cov = countAnd(bits.row(v), inBits)
+		} else {
+			for _, w := range closed {
+				if inSet[w] {
+					cov++
+				}
 			}
 		}
 		deficit := reqDeficit(k[v], len(closed), cov)
 		if deficit <= 0 {
 			continue
 		}
-		candidates = candidates[:0]
-		for _, w := range closed {
-			if !inSet[w] {
-				candidates = append(candidates, w)
+		cand := ln.cand[:0]
+		if bits != nil {
+			cand = appendAndNot(cand, bits.row(v), inBits)
+		} else {
+			for _, w := range closed {
+				if !inSet[w] {
+					cand = append(cand, w)
+				}
 			}
 		}
-		reqRecruit(rnds[v], recruit, candidates, permBuf, deficit)
+		reqRecruit(ln, seed, v, recruit, cand, deficit)
 	}
 }
 
-// reqSweepBits is reqSweep on the packed rows: identical deficits (exact
-// integer coverage either way) and identical candidate order (ascending
-// bit order = ascending CSR order), so identical recruits and random
-// draws.
-func reqSweepBits(lo, hi int, lay *layout, bits *bitRows, inBits []uint64, k []float64, rnds []*rand.Rand, recruit []uint32, candidates []graph.NodeID, permBuf []int) {
-	for v := lo; v < hi; v++ {
-		row := bits.row(v)
-		cov := countAnd(row, inBits)
-		deficit := reqDeficit(k[v], lay.size(v), cov)
-		if deficit <= 0 {
-			continue
+// sampleCoins flips Algorithm 2's independent coins (Line 2): node v joins
+// inSet with probability min(1, x_v·ln(Δ+1)), drawn from its own stream
+// through r, re-seeded per node. It returns how many nodes joined.
+func sampleCoins(r *rand.Rand, x []float64, lnD float64, seed int64, inSet []bool) int {
+	sampled := 0
+	for v, xv := range x {
+		seedNode(r, seed, v)
+		if r.Float64() < math.Min(1, xv*lnD) {
+			inSet[v] = true
+			sampled++
 		}
-		candidates = appendAndNot(candidates[:0], row, inBits)
-		reqRecruit(rnds[v], recruit, candidates, permBuf, deficit)
 	}
+	return sampled
 }
 
 // reqDeficit returns how many additional members node v must recruit.
@@ -275,12 +235,16 @@ func reqDeficit(kv float64, closedSize, cov int) int {
 	return int(math.Ceil(kv - float64(cov) - 1e-12))
 }
 
-// reqRecruit draws a uniform permutation of the candidates from the
-// node's stream and recruits the first deficit of them.
+// reqRecruit draws a uniform permutation of the candidates from node v's
+// stream and recruits the first deficit of them. The stream is re-seeded
+// and its sampling coin replayed first, so the permutation uses the same
+// draws as a stream kept alive since Line 2 — and as the simulator's.
 // |N_v| ≥ k_v guarantees enough candidates.
-func reqRecruit(r *rand.Rand, recruit []uint32, candidates []graph.NodeID, permBuf []int, deficit int) {
-	perm := permBuf[:len(candidates)]
-	permInto(r, perm)
+func reqRecruit(ln *reqLane, seed int64, v int, recruit []uint32, candidates []graph.NodeID, deficit int) {
+	seedNode(ln.rnd, seed, v)
+	ln.rnd.Float64()
+	perm := ln.perm[:len(candidates)]
+	permInto(ln.rnd, perm)
 	for i := 0; i < deficit && i < len(candidates); i++ {
 		atomic.StoreUint32(&recruit[candidates[perm[i]]], 1)
 	}

@@ -12,20 +12,17 @@ import (
 // Scratch is a reusable solver-state arena for the general-graph pipeline.
 // A Solve (or SolveFractional / RoundSolution) call that receives one
 // through its options draws every working array — the closed-neighborhood
-// layout, the mirror slots, the fractional state, the per-node random
-// streams and the rounding buffers — from the arena instead of the heap,
-// growing it on first use and reusing it afterwards. Repeated solves on
-// same-shape graphs therefore run with zero steady-state allocations; the
-// per-node rand.Rand streams (the dominant allocation of the rounding
-// phase, one large generator state per node) are re-seeded in place, which
-// yields bit-identical results to freshly constructed streams.
+// layout, the mirror slots, the fractional state and the rounding lanes —
+// from the arena instead of the heap, growing it on first use and reusing
+// it afterwards. Repeated solves on same-shape graphs therefore run with
+// zero steady-state allocations.
 //
 // Parallel solves (Workers > 1) draw their machinery from the arena too:
 // the work-claiming pool's signal channels, the pre-bound sweep closures
-// cached inside the fractional state, and one rounding lane (candidate +
-// permutation buffers) per worker — so a scratch-backed parallel solve
-// costs only the goroutine spawns on top of the sequential budget (pinned
-// by TestSolveParallelScratchSteadyStateAllocs).
+// cached inside the fractional state, and one rounding lane per worker —
+// so a scratch-backed parallel solve costs only the goroutine spawns on
+// top of the sequential budget (pinned by
+// TestSolveParallelScratchSteadyStateAllocs).
 //
 // Results returned from a scratch-backed solve ALIAS the arena:
 // Result.InSet, .K and the Fractional X/Y/Z vectors are views into
@@ -50,21 +47,38 @@ type Scratch struct {
 	bits   bitRows
 	inBits []uint64
 
-	// Rounding state. cand/perm serve the sequential path; lanes carve a
-	// private (cand, perm) pair per pool worker.
+	// Rounding state: the sampled/recruited masks and one lane per
+	// worker (lane 0 serves the sequential path).
 	inSet   []bool
-	rnds    []*rand.Rand
 	recruit []uint32
-	cand    []graph.NodeID
-	perm    []int
 	lanes   []reqLane
 }
 
-// reqLane is one worker's private rounding buffers: REQ candidate
-// collection and recruit permutation, reused across chunks and solves.
+// reqLane is one worker's private rounding state, reused across chunks
+// and solves: the REQ candidate and permutation buffers, and a generator
+// re-seeded to each node's stream in turn (seeding is O(1), so a lane
+// needs one generator, not one per node).
 type reqLane struct {
+	rnd  *rand.Rand
 	cand []graph.NodeID
 	perm []int
+}
+
+// reset sizes the lane's buffers for closed neighborhoods of up to
+// maxClosed nodes, creating its generator on first use.
+func (ln *reqLane) reset(maxClosed int) {
+	if ln.rnd == nil {
+		ln.rnd = rng.NewStream(0, 0)
+	}
+	ln.cand = growNoClear(ln.cand, maxClosed)
+	ln.perm = growNoClear(ln.perm, maxClosed)
+}
+
+// seedNode re-seeds r, a generator from rng.NewStream, to node v's stream
+// v+1 — the simulator's convention, so engine and sim.Program executions
+// coincide draw for draw.
+func seedNode(r *rand.Rand, seed int64, v int) {
+	rng.Reseed(r, seed, uint64(v)+1)
 }
 
 // NewScratch returns an empty arena; arrays are allocated lazily on first
@@ -150,9 +164,8 @@ func growZero[T any](buf []T, n int) []T {
 
 // growKeep resizes buf to n preserving existing elements (and, when
 // shrinking then regrowing within capacity, resurrecting earlier ones) —
-// used for the rand.Rand stream cache, where any stale non-nil pointer is
-// a reusable generator that the sampling sweep re-seeds anyway, and for
-// the rounding lanes, where stale buffers are reusable capacity.
+// used for the rounding lanes, whose stale buffers and generators are
+// reusable as they are.
 func growKeep[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
@@ -182,23 +195,10 @@ func effectiveDemandsInto(buf []float64, g *graph.Graph, k float64) []float64 {
 	return buf
 }
 
-// streamFor returns the node's sampling stream: re-seeding a cached
-// generator is state-identical to constructing a fresh one, so scratch
-// reuse never changes a single random draw.
-func streamFor(rnds []*rand.Rand, seed int64, v int) *rand.Rand {
-	if rnds[v] == nil {
-		rnds[v] = rng.NewStream(seed, uint64(v)+1)
-	} else {
-		rnds[v].Seed(rng.Derive(seed, uint64(v)+1))
-	}
-	return rnds[v]
-}
-
 // permInto fills m with a uniformly random permutation of [0, len(m))
 // using exactly the draws of rand.Rand.Perm (one Intn(i+1) per position),
-// so scratch-backed rounding consumes the identical stream prefix and
-// stays bit-compatible with the allocation-per-call path and the
-// simulator.
+// so the rounding consumes the identical stream prefix as the simulator's
+// Perm without allocating.
 func permInto(r *rand.Rand, m []int) {
 	for i := range m {
 		j := r.Intn(i + 1)

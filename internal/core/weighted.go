@@ -248,18 +248,6 @@ func weightedCoverSweep(lo, hi int, lay *layout, k, xPlus, cov []float64, white,
 	}
 }
 
-// weightedSampleSweep runs Algorithm 2's independent coin flips for nodes
-// [lo, hi). Each node owns a counter-based RNG stream keyed by its ID, so
-// the draw is identical regardless of chunking.
-func weightedSampleSweep(lo, hi int, x []float64, inSet []bool, lnD float64, seed int64) {
-	for v := lo; v < hi; v++ {
-		p := math.Min(1, x[v]*lnD)
-		if rng.NewStream(seed, uint64(v)+1).Float64() < p {
-			inSet[v] = true
-		}
-	}
-}
-
 // weightedRepairSweep recruits the cheapest non-member candidates for
 // every deficient node in [lo, hi), using the caller-supplied candidate
 // buffer (one per worker lane — with guided chunking a lane runs many
@@ -316,13 +304,7 @@ func weightedRound(lay *layout, k, x, costs []float64, delta int, seed int64, mo
 		return nil, err
 	}
 	inSet := make([]bool, n)
-	if pool != nil {
-		pool.Run(n, func(_, lo, hi int) {
-			weightedSampleSweep(lo, hi, x, inSet, lnD, seed)
-		})
-	} else {
-		weightedSampleSweep(0, n, x, inSet, lnD, seed)
-	}
+	sampleCoins(rng.NewStream(0, 0), x[:n], lnD, seed, inSet)
 	// Cheapest-candidate repair: inSet is frozen, recruit slots only ever
 	// receive 1, so the sweep is order-independent (see roundWithLayout).
 	if err := checkCtx(ctx); err != nil {

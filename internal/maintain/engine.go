@@ -60,7 +60,8 @@ type Patch struct {
 	Left []graph.NodeID
 	// AddedNodes lists the IDs assigned by OpAddNode ops, in op order.
 	AddedNodes []graph.NodeID
-	// Iterations is the number of promotion rounds the repair used.
+	// Iterations is the number of promotion passes the repair used: 1 when
+	// the batch left a deficit, else 0.
 	Iterations int
 	// Touched counts distinct nodes whose state the apply+repair pass
 	// examined or updated — the measured damage, which scales with the
@@ -547,41 +548,27 @@ func (e *Engine) reviveNode(v int, p *Patch) {
 	e.markDirty(v)
 }
 
-// repairFrontier runs the promotion rounds over the deficit frontier —
-// the same machinery as the one-shot Repair, against incrementally
-// maintained coverage.
+// repairFrontier runs the promotion pass over the deficit frontier —
+// the same rule as the one-shot Repair, against incrementally maintained
+// coverage: ascending ID, each promotion's coverage applied before the
+// next frontier node computes its need.
 func (e *Engine) repairFrontier(frontier []int32, p *Patch) {
-	promoted := make(map[int32]bool, 8)
-	var promoList []int32
-	for iter := 0; ; iter++ {
-		live := frontier[:0]
-		for _, v := range frontier {
-			if e.cov[v] < e.demand(int(v)) {
-				live = append(live, v)
+	if len(frontier) > 0 {
+		p.Iterations = 1
+	}
+	for _, vv := range frontier {
+		v := int(vv)
+		need := e.demand(v) - e.cov[v]
+		if need <= 0 {
+			continue // covered by an earlier node's promotions
+		}
+		e.forClosedLive(v, func(u int) {
+			if need <= 0 || e.inSet[u] {
+				return
 			}
-		}
-		frontier = live
-		if len(frontier) == 0 {
-			p.Iterations = iter
-			return
-		}
-		promoList = promoList[:0]
-		for _, vv := range frontier {
-			v := int(vv)
-			need := e.demand(v) - e.cov[v]
-			e.forClosedLive(v, func(u int) {
-				if need > 0 && !e.inSet[u] && !promoted[int32(u)] {
-					promoted[int32(u)] = true
-					promoList = append(promoList, int32(u))
-					need--
-				}
-			})
-		}
-		for _, uu := range promoList {
-			u := int(uu)
+			need--
 			e.inSet[u] = true
 			e.size++
-			delete(promoted, uu)
 			p.Entered = append(p.Entered, graph.NodeID(u))
 			p.Touched += e.countTouch(u)
 			e.cov[u]++
@@ -591,7 +578,7 @@ func (e *Engine) repairFrontier(frontier []int32, p *Patch) {
 					p.Touched += e.countTouch(int(w))
 				}
 			})
-		}
+		})
 	}
 }
 

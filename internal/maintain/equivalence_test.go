@@ -50,6 +50,16 @@ func failurePattern(name string, g *graph.Graph, mask []bool, seed int64) map[gr
 				dead[graph.NodeID(v)] = true
 			}
 		}
+	case "heads40":
+		// A random 40% of the heads fails: neighboring nodes lose heads
+		// they share, so their deficits overlap and one promotion can
+		// close several of them.
+		r := rng.New(seed)
+		for _, h := range heads {
+			if r.Float64() < 0.4 {
+				dead[h] = true
+			}
+		}
 	case "adversarial":
 		// Targeted removal of the entire dominating set S.
 		for _, h := range heads {
@@ -71,7 +81,7 @@ func TestRepairEquivalenceMatrix(t *testing.T) {
 		{"gnp", graph.GnpAvgDegree(300, 8, 5)},
 		{"grid", graph.Grid(12, 14)},
 	}
-	patterns := []string{"single", "burst", "adversarial"}
+	patterns := []string{"single", "burst", "heads40", "adversarial"}
 
 	for _, fam := range families {
 		for _, pat := range patterns {
@@ -138,8 +148,10 @@ func assertRepairEquivalent(t *testing.T, g *graph.Graph, mask []bool, dead map[
 }
 
 // TestRepairTouchedScalesWithDamage pins the damage-proportionality claim
-// at the unit level: on a large sparse instance, one failed head must
-// leave almost the whole graph untouched by the promotion rounds.
+// at the unit level: on a large sparse instance, up to 20 failed heads
+// must leave almost the whole graph untouched by the promotion pass, and
+// each repair touches only the deficient nodes and the closed
+// neighborhoods of the heads it promotes.
 func TestRepairTouchedScalesWithDamage(t *testing.T) {
 	g := graph.GnpAvgDegree(5000, 8, 3)
 	const k = 2
@@ -151,7 +163,14 @@ func TestRepairTouchedScalesWithDamage(t *testing.T) {
 		}
 	}
 	// The pruned mask is irredundant, so a few head failures certainly
-	// create deficits; each repair must stay confined to a neighborhood.
+	// create deficits; each repair must stay confined to them: the
+	// frontier plus one closed neighborhood (at most Δ+1 nodes) per
+	// promoted head, and at most k promotions per deficient node. On top
+	// of those structural bounds, a fixed cap independent of n: this
+	// fixture peaks at 350 touched nodes (39 deficient, 20 failed heads),
+	// and maxTouched leaves about 30% margin above that.
+	const maxTouched = 450
+	maxClosed := g.MaxDegree() + 1
 	dead := map[graph.NodeID]bool{}
 	promoted := 0
 	for i := 0; i < 20 && i < len(heads); i++ {
@@ -160,9 +179,17 @@ func TestRepairTouchedScalesWithDamage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Touched > 200 {
-			t.Fatalf("%d-head failure touched %d of %d nodes; not damage-proportional",
-				i+1, res.Touched, g.NumNodes())
+		deficient := Assess(g, mask, dead, k).DeficientNodes
+		if res.Promoted > k*deficient {
+			t.Fatalf("%d-head failure promoted %d for %d deficient nodes", i+1, res.Promoted, deficient)
+		}
+		if res.Touched > maxTouched {
+			t.Fatalf("%d-head failure touched %d of %d nodes (cap %d); not damage-proportional",
+				i+1, res.Touched, g.NumNodes(), maxTouched)
+		}
+		if bound := deficient + res.Promoted*maxClosed; res.Touched > bound {
+			t.Fatalf("%d-head failure touched %d of %d nodes, beyond the damage bound %d; not damage-proportional",
+				i+1, res.Touched, g.NumNodes(), bound)
 		}
 		promoted += res.Promoted
 	}

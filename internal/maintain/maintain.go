@@ -9,9 +9,9 @@
 // Two entry points share the promotion machinery:
 //
 //   - Repair is the one-shot API: given a mask and a failure set it runs
-//     ONE linear assessment pass to find the deficit frontier, then
-//     promotion rounds that touch only the deficient neighborhoods —
-//     never a full per-round rescan.
+//     ONE linear assessment pass to find the deficit frontier, then one
+//     promotion pass that touches only the deficient neighborhoods —
+//     never a full rescan.
 //   - Engine is the streaming API: a long-lived session applies batches
 //     of topology and liveness deltas; coverage state is maintained
 //     incrementally, so each repair costs O(affected neighborhood) with
@@ -30,10 +30,11 @@ type RepairResult struct {
 	InSet []bool
 	// Promoted counts the nodes newly added.
 	Promoted int
-	// Iterations is the number of local promotion rounds used.
+	// Iterations is the number of promotion passes: 1 when any node was
+	// deficient, else 0 (one ascending pass always closes every deficit).
 	Iterations int
 	// Touched counts the distinct nodes whose coverage state the
-	// promotion rounds examined or updated — the "damage" the repair
+	// promotion pass examined or updated — the "damage" the repair
 	// actually paid for, excluding the initial linear assessment. For
 	// localized failures this scales with the failure neighborhood, not
 	// with n.
@@ -48,12 +49,12 @@ type RepairResult struct {
 // The implementation is worklist-driven: one linear pass computes live
 // coverage and seeds the frontier with the deficient nodes (for a mask
 // that k-covered the pre-failure graph these all sit inside the failed
-// nodes' 1-hop neighborhoods); every promotion round after that touches
-// only nodes whose coverage could still be short, updating coverage
-// incrementally as heads are promoted. Deficits never spread — promotion
-// only raises coverage — so the rounds cost O(deficit neighborhood), not
-// O(n·Δ). The result is identical to running the promotion machinery
-// globally round by round.
+// nodes' 1-hop neighborhoods); the promotion pass after that touches only
+// those nodes and the neighborhoods of the heads it promotes, updating
+// coverage incrementally. Deficits never spread — promotion only raises
+// coverage — so the pass costs O(deficit neighborhood), not O(n·Δ). The
+// result is identical to running the promotion rule over all nodes in
+// ascending ID order.
 func Repair(g *graph.Graph, leader []bool, dead map[graph.NodeID]bool, k int) (RepairResult, error) {
 	n := g.NumNodes()
 	if len(leader) != n {
@@ -69,8 +70,7 @@ func Repair(g *graph.Graph, leader []bool, dead map[graph.NodeID]bool, k int) (R
 	res := RepairResult{InSet: inSet}
 
 	// One linear assessment pass: live coverage, capped live demand, and
-	// the initial deficit frontier. This is the only full scan; the old
-	// implementation repeated it every promotion round.
+	// the initial deficit frontier. This is the only full scan.
 	cov := make([]int32, n)
 	demand := make([]int32, n)
 	var frontier []int32 // deficient nodes, ascending
@@ -106,45 +106,30 @@ func Repair(g *graph.Graph, leader []bool, dead map[graph.NodeID]bool, k int) (R
 		}
 	}
 
-	// Promotion rounds over the frontier only. Coverage never decreases
-	// and demand is fixed, so a node deficient in round r was deficient in
-	// round 0: the frontier is a superset of every later round's deficit
-	// set, and shrinking it in place preserves the global round-by-round
-	// behavior exactly.
-	promoted := make([]bool, n)
-	var promoList []int32
-	for iter := 0; ; iter++ {
-		// Deficits surviving into this round, in ascending ID order.
-		live := frontier[:0]
-		for _, v := range frontier {
-			if cov[v] < demand[v] {
-				live = append(live, v)
+	// One promotion pass over the frontier, ascending ID: each deficient
+	// node promotes its lowest-ID live non-member closed neighbors to close
+	// its own gap, and every promotion's coverage lands before the next
+	// node computes its need, so neighbors sharing a gap never promote
+	// for it twice. Coverage never decreases and demand is fixed, so a
+	// node stays satisfied once its turn has passed, and its live closed
+	// neighborhood (at least demand nodes) always holds enough candidates:
+	// one pass leaves no deficit.
+	if len(frontier) > 0 {
+		res.Iterations = 1
+	}
+	for _, vv := range frontier {
+		v := int(vv)
+		countTouch(v)
+		need := demand[v] - cov[v]
+		if need <= 0 {
+			continue // covered by an earlier node's promotions
+		}
+		forClosedLive(g, v, dead, func(u int) {
+			if need <= 0 || inSet[u] {
+				return
 			}
-		}
-		frontier = live
-		if len(frontier) == 0 {
-			res.Iterations = iter
-			return res, nil
-		}
-		// Each deficient node promotes its lowest-ID live non-member
-		// closed neighbors to close its own gap (one local round).
-		promoList = promoList[:0]
-		for _, vv := range frontier {
-			v := int(vv)
-			countTouch(v)
-			need := demand[v] - cov[v]
-			forClosedLive(g, v, dead, func(u int) {
-				if need > 0 && !inSet[u] && !promoted[u] {
-					promoted[u] = true
-					promoList = append(promoList, int32(u))
-					need--
-				}
-			})
-		}
-		for _, uu := range promoList {
-			u := int(uu)
+			need--
 			inSet[u] = true
-			promoted[u] = false // reset for the next round
 			res.Promoted++
 			countTouch(u)
 			// The new head covers its live closed neighborhood.
@@ -155,8 +140,9 @@ func Repair(g *graph.Graph, leader []bool, dead map[graph.NodeID]bool, k int) (R
 					countTouch(int(w))
 				}
 			}
-		}
+		})
 	}
+	return res, nil
 }
 
 // Damage summarizes the deficit caused by failures, before repair.

@@ -55,35 +55,42 @@ func liveCheck(t *testing.T, g *graph.Graph, inSet []bool, dead map[graph.NodeID
 	}
 }
 
+// TestRepairAfterHeadFailures kills 40% of the heads of solved UDG
+// deployments and checks the repair restores coverage incrementally —
+// over 30 deployments, because overlapping deficits (neighbors short of
+// the same lost heads) are what break a repair that sizes every node's
+// need from the round's starting coverage.
 func TestRepairAfterHeadFailures(t *testing.T) {
 	const k = 3
-	_, g, leader := solvedUDG(t, 400, k, 1)
-	// Kill 40% of the heads.
-	r := rng.New(9)
-	dead := map[graph.NodeID]bool{}
-	for v, l := range leader {
-		if l && r.Float64() < 0.4 {
-			dead[graph.NodeID(v)] = true
+	for seed := int64(1); seed <= 30; seed++ {
+		_, g, leader := solvedUDG(t, 400, k, seed)
+		// Kill 40% of the heads.
+		r := rng.New(9)
+		dead := map[graph.NodeID]bool{}
+		for v, l := range leader {
+			if l && r.Float64() < 0.4 {
+				dead[graph.NodeID(v)] = true
+			}
 		}
-	}
-	before := Assess(g, leader, dead, k)
-	if before.LostHeads == 0 {
-		t.Fatal("test needs failures")
-	}
-	res, err := Repair(g, leader, dead, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveCheck(t, g, res.InSet, dead, k)
-	after := Assess(g, res.InSet, dead, k)
-	if after.DeficientNodes != 0 {
-		t.Errorf("deficient nodes after repair: %d", after.DeficientNodes)
-	}
-	// Incrementality: repair should promote far fewer nodes than the full
-	// solution size.
-	full := verify.SetSize(leader)
-	if res.Promoted >= full {
-		t.Errorf("repair promoted %d ≥ full size %d; not incremental", res.Promoted, full)
+		before := Assess(g, leader, dead, k)
+		if before.LostHeads == 0 {
+			t.Fatalf("seed %d: test needs failures", seed)
+		}
+		res, err := Repair(g, leader, dead, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		liveCheck(t, g, res.InSet, dead, k)
+		after := Assess(g, res.InSet, dead, k)
+		if after.DeficientNodes != 0 {
+			t.Errorf("seed %d: deficient nodes after repair: %d", seed, after.DeficientNodes)
+		}
+		// Incrementality: repair should promote far fewer nodes than the
+		// full solution size.
+		full := verify.SetSize(leader)
+		if res.Promoted >= full {
+			t.Errorf("seed %d: repair promoted %d ≥ full size %d; not incremental", seed, res.Promoted, full)
+		}
 	}
 }
 

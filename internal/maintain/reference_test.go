@@ -1,10 +1,10 @@
 package maintain
 
-// The pre-worklist Repair implementation, kept verbatim as a test-only
-// reference: it recomputes coverage over all n nodes every promotion
-// round, which is what the worklist rewrite exists to avoid — and what
-// the equivalence matrix in equivalence_test.go pins the rewrite against,
-// bit for bit.
+// A global-pass Repair kept as a test-only reference: it recomputes
+// coverage from the mask for every node it examines and sweeps all n
+// nodes every promotion round, which is what the worklist rewrite exists
+// to avoid — and what the equivalence matrix in equivalence_test.go pins
+// the rewrite against, bit for bit.
 
 import (
 	"fmt"
@@ -12,9 +12,9 @@ import (
 	"ftclust/internal/graph"
 )
 
-// repairReference is the original global-pass Repair. Semantics are the
-// published contract; only its cost (O(n·Δ) per round) differs from the
-// worklist version.
+// repairReference is the global-pass Repair. Semantics are the published
+// contract — ascending ID order, each promotion counted before the next
+// node's need — and only its cost differs from the worklist version.
 func repairReference(g *graph.Graph, leader []bool, dead map[graph.NodeID]bool, k int) (RepairResult, error) {
 	n := g.NumNodes()
 	if len(leader) != n {
@@ -44,26 +44,21 @@ func repairReference(g *graph.Graph, leader []bool, dead map[graph.NodeID]bool, 
 		demand[v] = minInt(k, liveDeg+1)
 	}
 
+	// liveCov counts v's live dominators in the current mask — recounted
+	// from scratch at every use, the full rescan the worklist replaces.
+	liveCov := func(v int) int {
+		c := 0
+		forClosedLive(g, v, dead, func(u int) {
+			if inSet[u] {
+				c++
+			}
+		})
+		return c
+	}
 	for iter := 0; ; iter++ {
-		// Coverage over live nodes — the full rescan the worklist version
-		// replaces.
 		deficitNodes := 0
-		cov := make([]int, n)
 		for v := 0; v < n; v++ {
-			if dead[graph.NodeID(v)] {
-				continue
-			}
-			if inSet[v] {
-				cov[v]++
-			}
-			for _, w := range g.Neighbors(graph.NodeID(v)) {
-				if !dead[w] && inSet[w] {
-					cov[v]++
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if !dead[graph.NodeID(v)] && cov[v] < demand[v] {
+			if !dead[graph.NodeID(v)] && liveCov(v) < demand[v] {
 				deficitNodes++
 			}
 		}
@@ -71,26 +66,22 @@ func repairReference(g *graph.Graph, leader []bool, dead map[graph.NodeID]bool, 
 			res.Iterations = iter
 			return res, nil
 		}
-		// Each deficient node promotes its lowest-ID live non-member
-		// closed neighbors to close its own gap (one local round).
-		promote := make([]bool, n)
+		// One round: every node in ascending ID order promotes its lowest-ID
+		// live non-member closed neighbors to close its own gap, measured
+		// against the mask as promoted so far (earlier nodes' promotions
+		// count toward later nodes' coverage).
 		for v := 0; v < n; v++ {
-			if dead[graph.NodeID(v)] || cov[v] >= demand[v] {
+			if dead[graph.NodeID(v)] {
 				continue
 			}
-			need := demand[v] - cov[v]
+			need := demand[v] - liveCov(v)
 			forClosedLive(g, v, dead, func(u int) {
-				if need > 0 && !inSet[u] && !promote[u] {
-					promote[u] = true
+				if need > 0 && !inSet[u] {
+					inSet[u] = true
+					res.Promoted++
 					need--
 				}
 			})
-		}
-		for v := 0; v < n; v++ {
-			if promote[v] {
-				inSet[v] = true
-				res.Promoted++
-			}
 		}
 	}
 }

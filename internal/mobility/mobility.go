@@ -31,7 +31,9 @@ func NewRandomWaypoint(n int, side, speed float64, seed int64) *Model {
 		targets: geom.UniformPoints(n, side, rng.Derive(seed, 1)),
 		side:    side,
 		speed:   speed,
-		rnd:     rng.NewStream(seed, 2),
+		// A trajectory is a generated deployment, not a per-node stream:
+		// it keeps rng.New's generator so equal seeds replay equal walks.
+		rnd: rng.New(rng.Derive(seed, 2)),
 	}
 }
 

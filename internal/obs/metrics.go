@@ -288,7 +288,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 // WritePrometheus renders every registered series in text exposition
 // format (version 0.0.4): one # HELP / # TYPE header per metric name,
 // then the series in registration order; histograms expand into
-// cumulative _bucket{le=…} series plus _sum and _count.
+// cumulative _bucket{le=…} series plus _sum and _count, with _count
+// equal to the +Inf bucket even under concurrent observations.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	ms := append([]*metric(nil), r.order...)
@@ -318,7 +319,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&sb, "%s %d\n",
 				seriesName(m.name+"_bucket", withLabel(m.labels, "le", "+Inf")), cum)
 			fmt.Fprintf(&sb, "%s %s\n", seriesName(m.name+"_sum", m.labels), formatFloat(m.h.Sum()))
-			fmt.Fprintf(&sb, "%s %d\n", seriesName(m.name+"_count", m.labels), m.h.Count())
+			// _count is the +Inf bucket of the same read, not the live
+			// total: an Observe racing this scrape must not leave the
+			// two disagreeing.
+			fmt.Fprintf(&sb, "%s %d\n", seriesName(m.name+"_count", m.labels), cum)
 		}
 	}
 	_, err := io.WriteString(w, sb.String())

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"sync"
@@ -46,8 +45,16 @@ func TestMetricsConcurrentStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if err := r.WritePrometheus(io.Discard); err != nil {
+				var sb strings.Builder
+				if err := r.WritePrometheus(&sb); err != nil {
 					t.Errorf("WritePrometheus: %v", err)
+					return
+				}
+				// A mid-flight scrape must still be self-consistent
+				// (each histogram's _count equals its +Inf bucket), or
+				// a fleet scrape that parses it rejects the peer.
+				if _, err := ParsePrometheus(strings.NewReader(sb.String())); err != nil {
+					t.Errorf("mid-flight scrape does not parse: %v", err)
 					return
 				}
 				if q := h.Quantile(0.5); math.IsNaN(q) || q < 0 {

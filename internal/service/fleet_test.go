@@ -310,17 +310,25 @@ func TestDebugEventsJoin(t *testing.T) {
 		var body struct {
 			Events []obs.Event `json:"events"`
 		}
-		if st := getJSON(t, n.ts.URL+"/debug/events", &body); st != http.StatusOK {
-			t.Fatalf("events on %s: status %d", n.addr, st)
-		}
-		joined := false
-		for _, e := range body.Events {
-			if e.Type == "join" && e.Attrs["peer"] != "" {
-				joined = true
+		joined := func() bool {
+			if st := getJSON(t, n.ts.URL+"/debug/events", &body); st != http.StatusOK {
+				t.Fatalf("events on %s: status %d", n.addr, st)
 			}
+			for _, e := range body.Events {
+				if e.Type == "join" && e.Attrs["peer"] != "" {
+					return true
+				}
+			}
+			return false
 		}
-		if !joined {
-			t.Fatalf("node %s logged no join event: %+v", n.addr, body.Events)
+		// n2 counts its seed row as a member before n1 first answers
+		// it, and the join is logged at that first answer, so poll.
+		deadline := time.Now().Add(10 * time.Second)
+		for !joined() {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %s logged no join event: %+v", n.addr, body.Events)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 
 		if st := getJSON(t, n.ts.URL+"/debug/events?n=1", &body); st != http.StatusOK || len(body.Events) != 1 {

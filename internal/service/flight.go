@@ -23,6 +23,10 @@ type flight struct {
 	resp   *SolveResponse
 	status int
 	err    error
+	// followers counts the requests that joined behind the leader
+	// (guarded by the group's mu), so a test can tell when every
+	// duplicate is waiting.
+	followers int
 }
 
 func newFlightGroup() *flightGroup {
@@ -35,6 +39,7 @@ func (g *flightGroup) join(key string) (*flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if f, ok := g.m[key]; ok {
+		f.followers++
 		return f, false
 	}
 	f := &flight{done: make(chan struct{})}

@@ -93,7 +93,7 @@ type metrics struct {
 	sessionsExpired *obs.Counter // sessions swept by the idle-TTL janitor
 
 	// Per-repair series: patch size (nodes entering/leaving S), touched
-	// nodes (the damage the worklist actually paid for), promotion rounds
+	// nodes (the damage the worklist actually paid for), promotion passes
 	// and wall time — the damage-proportionality story as metrics.
 	repairPatchNodes *obs.Histogram
 	repairTouched    *obs.Histogram
@@ -168,7 +168,7 @@ func newMetrics(now time.Time) *metrics {
 			"nodes examined or updated per repair (the damage paid for)",
 			obs.ExponentialBuckets(1, 2, 20)),
 		repairIterations: reg.Histogram("ftclust_repair_iterations",
-			"promotion rounds per repair",
+			"promotion passes per repair (0 or 1)",
 			[]float64{0, 1, 2, 3, 4, 6, 8, 16}),
 		repairDur: reg.Histogram("ftclust_repair_duration_seconds",
 			"wall time of one session mutation batch (apply + repair)",

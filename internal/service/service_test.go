@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ftclust"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -314,9 +316,23 @@ func TestSessionRepeatedFailureWaves(t *testing.T) {
 // stragglers arriving after completion hit the cache. The instance is big
 // enough (n=2000, t=4) that the requests genuinely overlap the solve.
 func TestConcurrentSolvesDeterministic(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 64})
 	const parallel = 32
 	const body = `{"family":{"name":"gnp","n":2000,"degree":8,"seed":5},"k":2,"t":4}`
+
+	// Park the only worker so the leader's solve cannot start, let alone
+	// finish, before every duplicate has joined it: the outcome is then
+	// exact whatever the solver's speed.
+	parked, release := make(chan struct{}), make(chan struct{})
+	parkDone := make(chan error, 1)
+	go func() {
+		parkDone <- s.queue.Do(context.Background(), func(context.Context, *ftclust.Scratch) {
+			close(parked)
+			<-release
+		})
+	}()
+	<-parked
+
 	bodies := make([][]byte, parallel)
 	caches := make([]string, parallel)
 	var wg sync.WaitGroup
@@ -344,26 +360,53 @@ func TestConcurrentSolvesDeterministic(t *testing.T) {
 			bodies[i] = b
 		}(i)
 	}
+
+	// All 32 in flight: the leader's job queued behind the parked one and
+	// the other 31 waiting on its flight.
+	followers := func() (n int) {
+		s.flights.mu.Lock()
+		defer s.flights.mu.Unlock()
+		for _, f := range s.flights.m {
+			n += f.followers
+		}
+		return n
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.queue.Depth() != 1 || followers() != parallel-1 {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("requests never all in flight: queued %d, followers %d", s.queue.Depth(), followers())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	wg.Wait()
+	if err := <-parkDone; err != nil {
+		t.Fatalf("parking job: %v", err)
+	}
+
 	for i := 1; i < parallel; i++ {
 		if !bytes.Equal(bodies[0], bodies[i]) {
 			t.Fatalf("response %d differs from response 0:\n%s\nvs\n%s", i, bodies[i], bodies[0])
 		}
 	}
+	misses := 0
 	for i, c := range caches {
-		if c != "miss" && c != "hit" && c != "coalesced" {
-			t.Errorf("request %d: X-Cache = %q", i, c)
+		switch c {
+		case "miss":
+			misses++
+		case "coalesced":
+		default:
+			t.Errorf("request %d: X-Cache = %q, want miss or coalesced", i, c)
 		}
 	}
+	if misses != 1 {
+		t.Errorf("%d requests answered X-Cache: miss, want exactly 1", misses)
+	}
 	m := s.Metrics()
-	if m.Solves != 1 {
-		t.Errorf("solves = %d, want exactly 1 (coalescing + cache must absorb the rest)", m.Solves)
-	}
-	if m.Coalesced < 1 {
-		t.Errorf("coalesced = %d, want ≥ 1 of %d overlapping duplicates", m.Coalesced, parallel)
-	}
-	if got := m.CacheMisses + m.CacheHits + m.Coalesced; got != parallel {
-		t.Errorf("misses+hits+coalesced = %d, want %d", got, parallel)
+	if m.CacheMisses != 1 || m.Coalesced != parallel-1 || m.CacheHits != 0 || m.Solves != 1 {
+		t.Errorf("misses=%d coalesced=%d hits=%d solves=%d, want 1, %d, 0, 1",
+			m.CacheMisses, m.Coalesced, m.CacheHits, m.Solves, parallel-1)
 	}
 }
 
