@@ -14,19 +14,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ftclust/internal/graph"
+	"ftclust/internal/obs"
 	"ftclust/internal/rng"
 	"ftclust/internal/service"
 )
@@ -37,8 +35,9 @@ import (
 const maxLoadBody = 64 << 20
 
 // loadRecord is the sustained-load section of BENCH_pipeline.json.
-// Latency quantiles are interpolated from the scraped histogram buckets,
-// so they match what the service's /debug/metrics snapshot reports.
+// Latency quantiles are interpolated from the scraped histogram buckets
+// by PromHistogram.Quantile, the same interpolation as the service's
+// in-process Server.Metrics snapshot.
 type loadRecord struct {
 	Op              string  `json:"op"`
 	DurationSec     float64 `json:"duration_sec"`
@@ -128,18 +127,18 @@ func measureLoad(scale float64, dur time.Duration) (loadRecord, error) {
 	if err != nil {
 		return loadRecord{}, fmt.Errorf("scraping /metrics: %w", err)
 	}
-	text, err := io.ReadAll(io.LimitReader(resp.Body, maxLoadBody))
+	snap, err := obs.ParsePrometheus(io.LimitReader(resp.Body, maxLoadBody))
 	resp.Body.Close()
 	if err != nil {
-		return loadRecord{}, fmt.Errorf("reading /metrics: %w", err)
+		return loadRecord{}, fmt.Errorf("parsing /metrics: %w", err)
 	}
-	solveBk, err := promBuckets(string(text), "ftclust_solve_duration_seconds", "")
-	if err != nil {
-		return loadRecord{}, err
+	solveH, ok := snap.Hist("ftclust_solve_duration_seconds")
+	if !ok {
+		return loadRecord{}, fmt.Errorf("no ftclust_solve_duration_seconds histogram in /metrics")
 	}
-	httpBk, err := promBuckets(string(text), "ftclust_http_request_duration_seconds", "/v1/solve")
-	if err != nil {
-		return loadRecord{}, err
+	httpH, ok := snap.Hist("ftclust_http_request_duration_seconds", "endpoint", "/v1/solve")
+	if !ok {
+		return loadRecord{}, fmt.Errorf("no /v1/solve ftclust_http_request_duration_seconds histogram in /metrics")
 	}
 
 	m := s.Metrics()
@@ -154,110 +153,15 @@ func measureLoad(scale float64, dur time.Duration) (loadRecord, error) {
 		Solves:          m.Solves,
 		CacheHits:       m.CacheHits,
 		Coalesced:       m.Coalesced,
-		SolveP50Ms:      1e3 * bucketQuantile(solveBk, 0.50),
-		SolveP99Ms:      1e3 * bucketQuantile(solveBk, 0.99),
-		HTTPP50Ms:       1e3 * bucketQuantile(httpBk, 0.50),
-		HTTPP99Ms:       1e3 * bucketQuantile(httpBk, 0.99),
-		SolveSamples:    bucketTotal(solveBk),
-		HTTPSamples:     bucketTotal(httpBk),
+		SolveP50Ms:      1e3 * solveH.Quantile(0.50),
+		SolveP99Ms:      1e3 * solveH.Quantile(0.99),
+		HTTPP50Ms:       1e3 * httpH.Quantile(0.50),
+		HTTPP99Ms:       1e3 * httpH.Quantile(0.99),
+		SolveSamples:    solveH.Count,
+		HTTPSamples:     httpH.Count,
 		MetricsScraped:  true,
 	}
 	return rec, nil
-}
-
-// promBucket is one cumulative histogram bucket from the exposition.
-type promBucket struct {
-	le  float64 // upper bound; +Inf for the overflow bucket
-	cum int64
-}
-
-// promBuckets extracts the _bucket series of metric from Prometheus text
-// exposition. endpoint filters on an endpoint="…" label when non-empty.
-func promBuckets(text, metric, endpoint string) ([]promBucket, error) {
-	prefix := metric + "_bucket{"
-	var out []promBucket
-	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, prefix) {
-			continue
-		}
-		rest := line[len(prefix):]
-		end := strings.IndexByte(rest, '}')
-		sp := strings.LastIndexByte(rest, ' ')
-		if end < 0 || sp < end {
-			return nil, fmt.Errorf("malformed exposition line %q", line)
-		}
-		labels := rest[:end]
-		if endpoint != "" && !strings.Contains(labels, `endpoint="`+endpoint+`"`) {
-			continue
-		}
-		le := ""
-		for _, lv := range strings.Split(labels, ",") {
-			if v, ok := strings.CutPrefix(lv, `le="`); ok {
-				le = strings.TrimSuffix(v, `"`)
-			}
-		}
-		if le == "" {
-			return nil, fmt.Errorf("bucket line without le label: %q", line)
-		}
-		bound := math.Inf(1)
-		if le != "+Inf" {
-			b, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				return nil, fmt.Errorf("parsing le=%q: %w", le, err)
-			}
-			bound = b
-		}
-		cum, err := strconv.ParseInt(strings.TrimSpace(rest[sp+1:]), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("parsing bucket count in %q: %w", line, err)
-		}
-		out = append(out, promBucket{le: bound, cum: cum})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no %s buckets in /metrics exposition", metric)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].le < out[j].le })
-	return out, nil
-}
-
-// bucketTotal returns the observation count (the +Inf cumulative value).
-func bucketTotal(bs []promBucket) int64 { return bs[len(bs)-1].cum }
-
-// bucketQuantile mirrors obs.Histogram.Quantile on scraped cumulative
-// buckets: linear interpolation inside the bucket holding the target
-// rank, ranks in the overflow bucket clamped to the largest finite bound.
-func bucketQuantile(bs []promBucket, q float64) float64 {
-	total := bucketTotal(bs)
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	prevCum := int64(0)
-	maxFinite := 0.0
-	for i, b := range bs {
-		if !math.IsInf(b.le, 1) {
-			maxFinite = b.le
-		}
-		n := b.cum - prevCum
-		if n > 0 && float64(b.cum) >= rank {
-			if math.IsInf(b.le, 1) {
-				return maxFinite
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = bs[i-1].le
-			}
-			frac := (rank - float64(prevCum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + (b.le-lo)*frac
-		}
-		prevCum = b.cum
-	}
-	return maxFinite
 }
 
 // runLoadJSON runs the sustained-load harness and merges the record into

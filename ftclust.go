@@ -181,7 +181,6 @@ type config struct {
 	localDelta bool
 	fanOut     int
 	workers    int
-	float32    bool
 	bitset     core.BitsetMode
 	ctx        context.Context
 	scratch    *Scratch
@@ -215,21 +214,6 @@ func WithFanOut(f int) Option { return func(c *config) { c.fanOut = f } }
 // sequential execution for equal seeds, whatever the worker count.
 // Ignored by the UDG solver.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
-
-// WithFloat32 switches Algorithm 1's per-node numeric state (fractional
-// values, coverage, dual shares) from float64 to float32, halving the
-// memory bandwidth of the dense per-round sweeps — worthwhile on large
-// instances where the solve is memory-bound. Precision contract: the
-// reported FractionalObjective and CertifiedLowerBound agree with the
-// float64 engine to ~1e-3 relative on the benchmark families, while the
-// integral dominating set remains exactly feasible — the rounding and
-// repair phases consume the widened values and verify coverage in exact
-// integer arithmetic. Individual fractional values can differ by a full
-// increment step where a discrete threshold decision flips (rare, ≤ 1%
-// of nodes). The float32 path is itself fully deterministic: equal seeds
-// give bit-identical results at every worker count. Honored by
-// SolveKMDS; ignored by the weighted and UDG solvers.
-func WithFloat32() Option { return func(c *config) { c.float32 = true } }
 
 // BitsetMode selects whether the rounding phase's dense coverage sweeps
 // run over packed []uint64 closed-neighborhood rows (AND + popcount)
@@ -304,7 +288,6 @@ func SolveKMDS(g *Graph, k int, opts ...Option) (*Solution, error) {
 		Seed:       c.seed,
 		LocalDelta: c.localDelta,
 		Workers:    c.workers,
-		Float32:    c.float32,
 		Bitset:     c.bitset,
 		Ctx:        c.ctx,
 		Observer:   c.observer,

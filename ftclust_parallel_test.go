@@ -128,34 +128,6 @@ func TestWithBitsetBitIdentical(t *testing.T) {
 	}
 }
 
-// WithFloat32 trades per-entry precision for bandwidth but must keep the
-// integral solution exactly feasible and stay deterministic.
-func TestWithFloat32FeasibleAndDeterministic(t *testing.T) {
-	g, err := GenerateGraph("gnp", 400, 10, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := SolveKMDS(g, 2, WithSeed(3), WithFloat32())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(g, a, 2, ClosedPP); err != nil {
-		t.Fatalf("float32 solution fails Verify: %v", err)
-	}
-	b, err := SolveKMDS(g, 2, WithSeed(3), WithFloat32(), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range a.InSet {
-		if a.InSet[v] != b.InSet[v] {
-			t.Fatalf("node %d: float32 InSet diverges across worker counts", v)
-		}
-	}
-	if a.FractionalObjective != b.FractionalObjective {
-		t.Error("float32 objective diverges across worker counts")
-	}
-}
-
 // SolveWeightedKMDS must report the engine-derived round count (2t² + 4),
 // not a façade-side reconstruction.
 func TestWeightedRoundsDerivedFromEngine(t *testing.T) {

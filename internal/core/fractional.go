@@ -17,12 +17,6 @@
 // (FractionalOptions.Workers; par.Pool). Every sweep touches only the
 // state of the node it iterates, so results are bit-identical to the
 // sequential execution whatever the worker count or chunk interleaving.
-//
-// The per-node numeric state is generic over float64 and float32
-// (fracStateG): the float64 instantiation is the reference engine, the
-// float32 instantiation (FractionalOptions.Float32) halves the memory
-// traffic of the dense sweeps at a documented precision cost — see the
-// Float32 field for the contract.
 package core
 
 import (
@@ -52,20 +46,6 @@ type FractionalOptions struct {
 	// Values ≤ 1 run sequentially. Results are bit-identical for every
 	// worker count and equal seeds.
 	Workers int
-	// Float32 switches the engine's per-node numeric state (x, duals,
-	// coverage, α/β shares) from float64 to float32, halving the memory
-	// bandwidth of the dense per-round sweeps. Precision contract (pinned
-	// by TestFloat32CloseToFloat64): the returned vectors are float32
-	// values widened to float64; primal x entries stay within ~1e-3 of
-	// the float64 engine except where a discrete threshold decision flips
-	// (a node crossing c ≥ k one iteration earlier or later — rare, ≤ 1%
-	// of nodes on the bench families), and the primal and dual objectives
-	// agree to ~1e-3 relative. Per-entry DUAL values carry no closeness
-	// guarantee: y_i takes one of the discrete levels (Δ+1)^{-p/t}, so a
-	// flipped threshold moves it a full level. The float32 path is itself
-	// fully deterministic: equal seeds give bit-identical results for
-	// every worker count and interleaving.
-	Float32 bool
 	// Scratch, when non-nil, supplies every working array from a reusable
 	// arena: repeated solves on same-shape graphs allocate nothing in
 	// steady state. The returned X/Y/Z vectors then alias the arena and
@@ -184,72 +164,48 @@ func solveFractionalWithLayout(g *graph.Graph, lay *layout, k []float64, opts Fr
 		LoopRounds: 2 * t * t,
 	}
 
-	if opts.Float32 {
-		st := frac32StateFor(opts.Scratch)
-		if err := runFractional(st, lay, k, deltas, globalDelta, t, pool, opts.Ctx); err != nil {
-			return FractionalResult{}, err
-		}
-		meta.X, meta.Y, meta.Z = widenResults(opts.Scratch, st.x, st.y, st.z)
-		meta.BetaSum = st.betaSum()
-		return meta, nil
-	}
 	st := fracStateFor(opts.Scratch)
-	if err := runFractional(st, lay, k, deltas, globalDelta, t, pool, opts.Ctx); err != nil {
-		return FractionalResult{}, err
-	}
-	meta.X, meta.Y, meta.Z = st.x, st.y, st.z
-	meta.BetaSum = st.betaSum()
-	return meta, nil
-}
-
-// runFractional executes Algorithm 1's double loop on a prepared state.
-func runFractional[F floatT](st *fracStateG[F], lay *layout, k []float64, deltas []int, globalDelta, t int, pool *par.Pool, ctx context.Context) error {
 	st.prepare(lay, k, deltas, globalDelta, t, pool)
 	for p := t - 1; p >= 0; p-- {
 		for q := t - 1; q >= 0; q-- {
-			if err := checkCtx(ctx); err != nil {
-				return err
+			if err := checkCtx(opts.Ctx); err != nil {
+				return FractionalResult{}, err
 			}
 			st.innerIteration(p, q)
 		}
 	}
 	st.finishDuals()
-	return nil
+	meta.X, meta.Y, meta.Z = st.x, st.y, st.z
+	meta.BetaSum = st.betaSum()
+	return meta, nil
 }
 
-// floatT enumerates the numeric types the engine instantiates over. The
-// float64 form is the reference; float32 trades ~1e-4 absolute precision
-// for half the memory traffic (see FractionalOptions.Float32).
-type floatT interface {
-	~float32 | ~float64
-}
-
-// fracStateG is the global emulation of Algorithm 1's per-node state,
-// generic over the numeric type. All per-neighborhood quantities live in
-// flat arrays aligned with the shared CSR layout: alpha[s], beta[s] hold
-// α_{j,v}, β_{j,v} where v is the node owning slot s and j = lay.adj[s] —
-// the share of neighbor j's x-increase attributed to covering v.
-type fracStateG[F floatT] struct {
+// fracState is the global emulation of Algorithm 1's per-node state. All
+// per-neighborhood quantities live in flat arrays aligned with the shared
+// CSR layout: alpha[s], beta[s] hold α_{j,v}, β_{j,v} where v is the node
+// owning slot s and j = lay.adj[s] — the share of neighbor j's x-increase
+// attributed to covering v.
+type fracState struct {
 	lay    *layout
 	mir    []int32 // mirror slots for finishDuals
 	n      int
 	t      int
-	k      []F // effective demands (capped)
-	x      []F
-	xPlus  []F
+	k      []float64 // effective demands (capped)
+	x      []float64
+	xPlus  []float64
 	dyn    []int32 // dynamic degrees δ̃_i (white nodes in closed neighborhood)
 	white  []bool
 	turned []bool // scratch: nodes whose color flipped this iteration
-	c      []F
-	y, z   []F
+	c      []float64
+	y, z   []float64
 	// Threshold tables (Δ_v+1)^{p/t} and their reciprocals. With a global
 	// Δ every node shares one t-entry table (perNode=false); under
 	// LocalDelta the tables are per-node, flattened as thresh[v*t+p].
-	thresh  []F
-	inc     []F
+	thresh  []float64
+	inc     []float64
 	perNode bool
-	alpha   []F
-	beta    []F
+	alpha   []float64
+	beta    []float64
 
 	// Parallel execution. pool is non-nil iff this solve runs with
 	// workers > 1. The sweep bodies are bound ONCE (cached across solves
@@ -268,7 +224,7 @@ type fracStateG[F floatT] struct {
 // prepare initializes the emulation state for one solve. On an
 // arena-embedded state it reuses every array capacity (slots are either
 // zeroed or overwritten below), so repeated solves allocate nothing.
-func (st *fracStateG[F]) prepare(lay *layout, k []float64, deltas []int, globalDelta, t int, pool *par.Pool) {
+func (st *fracState) prepare(lay *layout, k []float64, deltas []int, globalDelta, t int, pool *par.Pool) {
 	n := lay.n
 	st.lay, st.n, st.t, st.pool = lay, n, t, pool
 	st.mir = lay.mirrorInto(st.mir)
@@ -307,26 +263,24 @@ func (st *fracStateG[F]) prepare(lay *layout, k []float64, deltas []int, globalD
 	}
 	for v := 0; v < n; v++ {
 		size := lay.size(v)
-		st.k[v] = F(math.Min(k[v], float64(size)))
+		st.k[v] = math.Min(k[v], float64(size))
 		st.white[v] = true
 		st.dyn[v] = int32(size)
 	}
 }
 
-// fillPowTables fills dst[e] = (δ+1)^{e/t} and rec[e] = its reciprocal,
-// computed in float64 and narrowed to F — both instantiations therefore
-// share one deterministic table source.
-func fillPowTables[F floatT](dst, rec []F, delta, t int) {
+// fillPowTables fills dst[e] = (δ+1)^{e/t} and rec[e] = its reciprocal.
+func fillPowTables(dst, rec []float64, delta, t int) {
 	d1 := float64(delta + 1)
 	for e := 0; e < t; e++ {
 		th := math.Pow(d1, float64(e)/float64(t))
-		dst[e] = F(th)
-		rec[e] = F(1 / th)
+		dst[e] = th
+		rec[e] = 1 / th
 	}
 }
 
 // fillNodeTables fills the per-node threshold tables for nodes [lo, hi).
-func (st *fracStateG[F]) fillNodeTables(deltas []int, lo, hi int) {
+func (st *fracState) fillNodeTables(deltas []int, lo, hi int) {
 	t := st.t
 	for v := lo; v < hi; v++ {
 		fillPowTables(st.thresh[v*t:(v+1)*t], st.inc[v*t:(v+1)*t], deltas[v], t)
@@ -336,19 +290,19 @@ func (st *fracStateG[F]) fillNodeTables(deltas []int, lo, hi int) {
 // tablesFor is the pooled form of fillNodeTables: the deltas slice rides
 // in nodeDeltas for the duration of the dispatch (a method, not a
 // closure, so the init sweep allocates nothing).
-func (st *fracStateG[F]) tablesFor(_, lo, hi int) {
+func (st *fracState) tablesFor(_, lo, hi int) {
 	st.fillNodeTables(st.nodeDeltas, lo, hi)
 }
 
 // threshAt returns (Δ_v+1)^{e/t}; incAt its reciprocal.
-func (st *fracStateG[F]) threshAt(v, e int) F {
+func (st *fracState) threshAt(v, e int) float64 {
 	if st.perNode {
 		return st.thresh[v*st.t+e]
 	}
 	return st.thresh[e]
 }
 
-func (st *fracStateG[F]) incAt(v, e int) F {
+func (st *fracState) incAt(v, e int) float64 {
 	if st.perNode {
 		return st.inc[v*st.t+e]
 	}
@@ -361,7 +315,7 @@ func (st *fracStateG[F]) incAt(v, e int) F {
 // incremental (each node turning black decrements its closed neighbors'
 // counters once, O(Δ) amortized per color flip), replacing the original
 // full O(n·Δ) neighborhood rescan per iteration.
-func (st *fracStateG[F]) innerIteration(p, q int) {
+func (st *fracState) innerIteration(p, q int) {
 	if st.pool != nil {
 		// The bound sweep bodies read p/q through the state; the pool's
 		// signal send orders these writes before any worker runs.
@@ -386,18 +340,12 @@ func (st *fracStateG[F]) innerIteration(p, q int) {
 	}
 }
 
-// roundA raises x-values (Lines 5–8) for nodes in [lo, hi). The min is
-// spelled as a comparison rather than math.Min: for the positive finite
-// operands of this loop the two agree bit for bit, and the comparison
-// form instantiates for float32 too.
-func (st *fracStateG[F]) roundA(lo, hi, p, q int) {
+// roundA raises x-values (Lines 5–8) for nodes in [lo, hi).
+func (st *fracState) roundA(lo, hi, p, q int) {
 	for v := lo; v < hi; v++ {
 		st.xPlus[v] = 0
-		if st.x[v] < 1 && F(st.dyn[v]) >= st.threshAt(v, p) {
-			xp := st.incAt(v, q)
-			if rem := 1 - st.x[v]; rem < xp {
-				xp = rem
-			}
+		if st.x[v] < 1 && float64(st.dyn[v]) >= st.threshAt(v, p) {
+			xp := min(st.incAt(v, q), 1-st.x[v])
 			st.xPlus[v] = xp
 			st.x[v] += xp
 		}
@@ -406,21 +354,19 @@ func (st *fracStateG[F]) roundA(lo, hi, p, q int) {
 
 // roundB is Round B part 1: white nodes in [lo, hi) account coverage and
 // duals (Lines 10–21).
-func (st *fracStateG[F]) roundB(lo, hi, p int) {
+func (st *fracState) roundB(lo, hi, p int) {
 	for v := lo; v < hi; v++ {
 		if !st.white[v] {
 			continue
 		}
 		closed := st.lay.closed(v)
-		cPlus := F(0)
+		cPlus := 0.0
 		for _, w := range closed {
 			cPlus += st.xPlus[w]
 		}
-		lambda := F(1)
+		lambda := 1.0
 		if cPlus > 0 {
-			if l := (st.k[v] - st.c[v]) / cPlus; l < 1 {
-				lambda = l
-			}
+			lambda = min(1, (st.k[v]-st.c[v])/cPlus)
 		}
 		st.c[v] += cPlus
 		base := int(st.lay.off[v])
@@ -443,7 +389,7 @@ func (st *fracStateG[F]) roundB(lo, hi, p int) {
 // α_{i,j} and β_{i,j} are stored at node j (the covered side), so the
 // distributed execution needs one extra exchange round here; the engine
 // reads them through the precomputed mirror slots.
-func (st *fracStateG[F]) finishDuals() {
+func (st *fracState) finishDuals() {
 	if st.pool != nil {
 		st.pool.Run(st.n, st.finishFn)
 	} else {
@@ -451,9 +397,9 @@ func (st *fracStateG[F]) finishDuals() {
 	}
 }
 
-func (st *fracStateG[F]) finishRange(lo, hi int) {
+func (st *fracState) finishRange(lo, hi int) {
 	for v := lo; v < hi; v++ {
-		sum := F(0)
+		sum := 0.0
 		for s := st.lay.off[v]; s < st.lay.off[v+1]; s++ {
 			w := st.lay.adj[s]
 			m := st.mir[s]
@@ -463,13 +409,12 @@ func (st *fracStateG[F]) finishRange(lo, hi int) {
 	}
 }
 
-// betaSum accumulates in float64 on both instantiations: the reduction is
-// sequential (deterministic order) and the float64 form is unchanged from
-// the reference engine.
-func (st *fracStateG[F]) betaSum() float64 {
+// betaSum returns Σ β over every slot, summed sequentially so the order
+// (and therefore the result) is deterministic.
+func (st *fracState) betaSum() float64 {
 	total := 0.0
 	for _, b := range st.beta {
-		total += float64(b)
+		total += b
 	}
 	return total
 }

@@ -11,9 +11,8 @@ import (
 	"ftclust/internal/par"
 )
 
-// Tests for the work-claiming scheduler, the packed bitset kernels and the
-// float32 engine: every path must be bit-identical to (or, for float32,
-// within the documented tolerance of) the sequential float64 reference.
+// Tests for the work-claiming scheduler and the packed bitset kernels:
+// every path must be bit-identical to the sequential CSR reference.
 
 func schedulerTestGraphs(tb testing.TB, n int) map[string]*graph.Graph {
 	tb.Helper()
@@ -125,72 +124,6 @@ func TestUseBitsetGating(t *testing.T) {
 	}
 	if !useBitset(BitsetOn, sparse) {
 		t.Error("On must pack whenever rows fit the cap")
-	}
-}
-
-// Float32 contract, half 1: the documented tolerance against the float64
-// reference. Primal x entries stay within 1e-3 except at discrete
-// threshold boundaries (a node crossing c ≥ k one iteration earlier or
-// later — at most 1% of nodes); the primal and dual objectives agree to
-// 1e-3 relative; the integral solution stays exactly feasible with |S|
-// within 1% of the reference. Per-entry dual values carry NO closeness
-// guarantee: y_i jumps between the discrete levels (Δ+1)^{-p/t} when a
-// threshold decision flips (on a star every leaf sits exactly on the
-// c = k boundary).
-func TestFloat32CloseToFloat64(t *testing.T) {
-	for name, g := range schedulerTestGraphs(t, 400) {
-		n := g.NumNodes()
-		ref, err := Solve(g, Options{K: 3, T: 3, Seed: 9})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := Solve(g, Options{K: 3, T: 3, Seed: 9, Float32: true})
-		if err != nil {
-			t.Fatalf("%s float32: %v", name, err)
-		}
-		if !got.Feasible {
-			t.Errorf("%s: float32 solution infeasible", name)
-		}
-		flips := 0
-		for v := range ref.Fractional.X {
-			if math.Abs(ref.Fractional.X[v]-got.Fractional.X[v]) > 1e-3 {
-				flips++
-			}
-		}
-		if limit := 1 + n/100; flips > limit {
-			t.Errorf("%s: %d x-entries beyond 1e-3 (threshold flips), want ≤ %d", name, flips, limit)
-		}
-		o64, o32 := ref.Fractional.Objective(), got.Fractional.Objective()
-		if math.Abs(o64-o32) > 1e-3*o64 {
-			t.Errorf("%s: objectives %g vs %g diverge beyond 1e-3 relative", name, o64, o32)
-		}
-		d64 := ref.Fractional.DualObjective(ref.K)
-		d32 := got.Fractional.DualObjective(got.K)
-		if math.Abs(d64-d32) > 1e-3*math.Abs(d64) {
-			t.Errorf("%s: dual objectives %g vs %g diverge beyond 1e-3 relative", name, d64, d32)
-		}
-		if ds := ref.Size() - got.Size(); ds > 1+n/100 || ds < -(1+n/100) {
-			t.Errorf("%s: set sizes %d vs %d diverge beyond 1%%", name, ref.Size(), got.Size())
-		}
-	}
-}
-
-// Float32 contract, half 2: the float32 engine is itself deterministic —
-// bit-identical across worker counts and maximal interleavings.
-func TestFloat32BitIdenticalAcrossWorkers(t *testing.T) {
-	defer par.SetForceGrain(par.SetForceGrain(1))
-	for name, g := range schedulerTestGraphs(t, 400) {
-		seq, err := Solve(g, Options{K: 3, T: 3, Seed: 9, Float32: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			got, err := Solve(g, Options{K: 3, T: 3, Seed: 9, Float32: true, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s w=%d: %v", name, workers, err)
-			}
-			assertSameSolve(t, name+" float32", seq, got)
-		}
 	}
 }
 

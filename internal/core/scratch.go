@@ -31,16 +31,11 @@ import (
 // safe for concurrent use; give each worker its own (the service's solver
 // pool does exactly that).
 type Scratch struct {
-	lay    layout
-	frac   fracStateG[float64]
-	frac32 fracStateG[float32]
-	pool   par.Pool
+	lay  layout
+	frac fracState
+	pool par.Pool
 
 	kEff []float64
-
-	// Float32 solves narrow internally and widen on the way out; these
-	// hold the widened X/Y/Z views handed to the caller.
-	xOut, yOut, zOut []float64
 
 	// Bitset kernels: packed closed-neighborhood rows plus the packed
 	// membership vector the coverage sweeps intersect against.
@@ -85,21 +80,13 @@ func seedNode(r *rand.Rand, seed int64, v int) {
 // use and sized to the largest (n, m) seen.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// fracStateFor returns the float64 fractional state, arena-embedded when
-// s is non-nil (reusing arrays and the cached sweep closures).
-func fracStateFor(s *Scratch) *fracStateG[float64] {
+// fracStateFor returns the fractional state, arena-embedded when s is
+// non-nil (reusing arrays and the cached sweep closures).
+func fracStateFor(s *Scratch) *fracState {
 	if s == nil {
-		return &fracStateG[float64]{}
+		return &fracState{}
 	}
 	return &s.frac
-}
-
-// frac32StateFor is fracStateFor for the float32 instantiation.
-func frac32StateFor(s *Scratch) *fracStateG[float32] {
-	if s == nil {
-		return &fracStateG[float32]{}
-	}
-	return &s.frac32
 }
 
 // poolFor returns a stopped pool ready to Start, arena-embedded when s is
@@ -118,32 +105,6 @@ func lanesFor(s *Scratch, w int) []reqLane {
 	}
 	s.lanes = growKeep(s.lanes, w)
 	return s.lanes
-}
-
-// widenResults converts the float32 engine's vectors to the float64 views
-// the public result type carries, drawing the output buffers from the
-// arena when available.
-func widenResults(s *Scratch, x, y, z []float32) (xo, yo, zo []float64) {
-	if s == nil {
-		xo = make([]float64, len(x))
-		yo = make([]float64, len(y))
-		zo = make([]float64, len(z))
-	} else {
-		s.xOut = growNoClear(s.xOut, len(x))
-		s.yOut = growNoClear(s.yOut, len(y))
-		s.zOut = growNoClear(s.zOut, len(z))
-		xo, yo, zo = s.xOut, s.yOut, s.zOut
-	}
-	for i, v := range x {
-		xo[i] = float64(v)
-	}
-	for i, v := range y {
-		yo[i] = float64(v)
-	}
-	for i, v := range z {
-		zo[i] = float64(v)
-	}
-	return xo, yo, zo
 }
 
 // growNoClear resizes buf to n reusing its capacity; contents are

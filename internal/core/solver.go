@@ -31,12 +31,6 @@ type Options struct {
 	// phases. Results are bit-identical to the sequential execution for
 	// equal seeds, whatever the worker count or chunk interleaving.
 	Workers int
-	// Float32 switches Algorithm 1's numeric state to float32; see
-	// FractionalOptions.Float32 for the precision contract. Rounding
-	// consumes the widened float64 x-vector, so the integral solution is
-	// still exact k-fold feasible — only the fractional values and the
-	// dual certificate carry the float32 tolerance.
-	Float32 bool
 	// Bitset selects packed []uint64 closed-neighborhood rows for the
 	// dense rounding sweeps; see BitsetMode. Results are identical in
 	// every mode.
@@ -124,7 +118,6 @@ func Solve(g *graph.Graph, opts Options) (Result, error) {
 		T:          opts.T,
 		LocalDelta: opts.LocalDelta,
 		Workers:    opts.Workers,
-		Float32:    opts.Float32,
 		Ctx:        opts.Ctx,
 		Scratch:    opts.Scratch,
 		pool:       pool,

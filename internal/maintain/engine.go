@@ -107,9 +107,9 @@ func (o *Options) fillDefaults() {
 // Engine is the incremental churn engine: a long-lived k-fold clustering
 // that absorbs batches of liveness and topology deltas at a cost
 // proportional to the damage. It maintains per-node live coverage
-// incrementally — no global pass per batch, unlike the one-shot Repair —
-// and keeps the invariant that between batches every live node has its
-// capped demand min(k, liveDegree+1) covered.
+// incrementally — no global pass per batch; only construction scans every
+// node — and keeps the invariant that between batches every live node
+// has its capped demand min(k, liveDegree+1) covered.
 //
 // Engine is not safe for concurrent use; callers serialize access.
 type Engine struct {
@@ -138,8 +138,23 @@ type Engine struct {
 // NewEngine starts an engine on g with the given k and dominator mask.
 // The mask must k-cover g (the usual case: it came from a solve); the
 // engine verifies this while building its coverage state and returns an
-// error otherwise, because the incremental invariant starts there.
+// error naming the lowest-ID deficient node otherwise, because the
+// incremental invariant starts there.
 func NewEngine(g *graph.Graph, mask []bool, k int, opts Options) (*Engine, error) {
+	e, err := newEngine(g, mask, nil, k, opts)
+	if err != nil {
+		return nil, err
+	}
+	if len(e.dirty) > 0 {
+		return nil, fmt.Errorf("maintain: mask does not %d-cover node %d", k, e.dirty[0])
+	}
+	return e, nil
+}
+
+// newEngine builds an engine on g with the nodes in dead already failed
+// (dead members leave the mask) and queues every deficient live node, in
+// ascending ID order, for the next Apply's repair.
+func newEngine(g *graph.Graph, mask []bool, dead map[graph.NodeID]bool, k int, opts Options) (*Engine, error) {
 	n := g.NumNodes()
 	if len(mask) != n {
 		return nil, fmt.Errorf("maintain: mask has %d entries for %d nodes", len(mask), n)
@@ -152,7 +167,7 @@ func NewEngine(g *graph.Graph, mask []bool, k int, opts Options) (*Engine, error
 		ov:        graph.NewOverlay(g),
 		k:         k,
 		opts:      opts,
-		inSet:     append([]bool(nil), mask...),
+		inSet:     make([]bool, n),
 		dead:      make([]bool, n),
 		liveDeg:   make([]int32, n),
 		cov:       make([]int32, n),
@@ -160,22 +175,32 @@ func NewEngine(g *graph.Graph, mask []bool, k int, opts Options) (*Engine, error
 		touch:     make([]int32, n),
 	}
 	for v := 0; v < n; v++ {
-		if e.inSet[v] {
+		switch {
+		case dead[graph.NodeID(v)]:
+			e.dead[v] = true
+			e.deadCount++
+		case mask[v]:
+			e.inSet[v] = true
 			e.size++
-			e.cov[v]++
 		}
-		deg := 0
-		for _, w := range g.Neighbors(graph.NodeID(v)) {
-			deg++
-			if e.inSet[w] {
-				e.cov[v]++
-			}
-		}
-		e.liveDeg[v] = int32(deg)
 	}
 	for v := 0; v < n; v++ {
+		if e.dead[v] {
+			continue
+		}
+		if e.inSet[v] {
+			e.cov[v]++
+		}
+		for _, w := range g.Neighbors(graph.NodeID(v)) {
+			if !e.dead[w] {
+				e.liveDeg[v]++
+				if e.inSet[w] {
+					e.cov[v]++
+				}
+			}
+		}
 		if e.cov[v] < e.demand(v) {
-			return nil, fmt.Errorf("maintain: mask does not %d-cover node %d", k, v)
+			e.markDirty(v)
 		}
 	}
 	return e, nil
@@ -396,7 +421,7 @@ func (e *Engine) Validate(ops []Op) error {
 }
 
 // Apply runs a validated batch: every op mutates topology and liveness
-// state incrementally, then one worklist repair restores the coverage
+// state incrementally, then one frontier repair restores the coverage
 // invariant. The returned Patch is the streamed delta — nodes entering
 // and leaving S — plus the damage figures. Callers MUST Validate first;
 // Apply panics on ops Validate would reject rather than half-apply them.
@@ -548,10 +573,14 @@ func (e *Engine) reviveNode(v int, p *Patch) {
 	e.markDirty(v)
 }
 
-// repairFrontier runs the promotion pass over the deficit frontier —
-// the same rule as the one-shot Repair, against incrementally maintained
-// coverage: ascending ID, each promotion's coverage applied before the
-// next frontier node computes its need.
+// repairFrontier runs the promotion pass over the deficit frontier in
+// ascending ID order: each deficient node promotes its lowest-ID live
+// non-member closed neighbors to close its own gap, and every promotion's
+// coverage lands before the next node computes its need, so neighbors
+// sharing a gap never promote for it twice. Coverage never decreases and
+// demand is fixed, so a node stays satisfied once its turn has passed,
+// and its live closed neighborhood (at least demand nodes) always holds
+// enough candidates: one pass leaves no deficit.
 func (e *Engine) repairFrontier(frontier []int32, p *Patch) {
 	if len(frontier) > 0 {
 		p.Iterations = 1

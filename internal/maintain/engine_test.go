@@ -1,6 +1,6 @@
 package maintain
 
-// The churn engine must stay bit-identical to the retired global-pass
+// The churn engine must stay bit-identical to the global-pass reference
 // repair after every batch: same mask, same promotion count, same round
 // count, computed from incrementally maintained coverage instead of a
 // per-batch linear scan. The randomized churn test below drives hundreds
@@ -9,6 +9,7 @@ package maintain
 // repairReference on the compacted graph each time.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -536,6 +537,52 @@ func TestEngineSetMaskRejectsBadMasks(t *testing.T) {
 	for v := range before {
 		if before[v] != after[v] {
 			t.Fatalf("rejected SetMask mutated mask at %d", v)
+		}
+	}
+}
+
+// NewEngine rejects a mask that does not k-cover the graph and names the
+// lowest-ID deficient node, whichever other nodes are deficient too.
+func TestNewEngineNamesLowestDeficientNode(t *testing.T) {
+	gnp := graph.GnpAvgDegree(200, 6, 4)
+	gnpMask := feasibleMask(t, gnp, 2)
+	for v := 150; v < 200; v++ {
+		gnpMask[v] = false
+	}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		mask []bool
+		k    int
+	}{
+		// Nodes 3, 4, 5 and 9 have no member in their closed neighborhood.
+		{"path", graph.Path(10), []bool{false, true, false, false, false, false, false, true, false, false}, 1},
+		{"empty", graph.Grid(4, 4), make([]bool, 16), 1},
+		{"gnp", gnp, gnpMask, 2},
+	}
+	for _, tc := range cases {
+		lowest := -1
+		for v := 0; v < tc.g.NumNodes() && lowest < 0; v++ {
+			cov := 0
+			if tc.mask[v] {
+				cov++
+			}
+			for _, w := range tc.g.Neighbors(graph.NodeID(v)) {
+				if tc.mask[w] {
+					cov++
+				}
+			}
+			if cov < minInt(tc.k, tc.g.Degree(graph.NodeID(v))+1) {
+				lowest = v
+			}
+		}
+		if lowest < 0 {
+			t.Fatalf("%s: fixture mask is not deficient", tc.name)
+		}
+		_, err := NewEngine(tc.g, tc.mask, tc.k, Options{})
+		want := fmt.Sprintf("maintain: mask does not %d-cover node %d", tc.k, lowest)
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: NewEngine error %v, want %q", tc.name, err, want)
 		}
 	}
 }

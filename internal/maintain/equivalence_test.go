@@ -1,10 +1,11 @@
 package maintain
 
-// The worklist Repair must be bit-identical to the retired global pass on
-// the full matrix the issue names: graph families × failure patterns × k.
-// "Bit-identical" covers the mask, the promotion count, and the round
-// count — any divergence means the worklist dropped a deficit or promoted
-// in a different order.
+// There is one promotion engine, and Repair is one batch of it: an engine
+// built with the failures already applied, then Apply(nil). That batch
+// must be bit-identical to the global-pass reference on graph families ×
+// failure patterns × k. "Bit-identical" covers the mask, the promotion
+// count, and the round count — any divergence means the engine dropped a
+// deficit or promoted in a different order.
 
 import (
 	"fmt"
@@ -99,7 +100,7 @@ func TestRepairEquivalenceMatrix(t *testing.T) {
 
 // TestRepairEquivalenceInfeasibleMask covers masks that are deficient for
 // reasons unrelated to the failure set (E18's crash-mid-protocol regime):
-// the worklist must find and fix those deficits too, identically.
+// the engine batch must find and fix those deficits too, identically.
 func TestRepairEquivalenceInfeasibleMask(t *testing.T) {
 	g := graph.GnpAvgDegree(250, 8, 11)
 	const k = 2
@@ -133,12 +134,12 @@ func assertRepairEquivalent(t *testing.T, g *graph.Graph, mask []bool, dead map[
 		t.Fatal(err)
 	}
 	if got.Promoted != want.Promoted || got.Iterations != want.Iterations {
-		t.Fatalf("worklist promoted=%d iters=%d, reference promoted=%d iters=%d",
+		t.Fatalf("engine promoted=%d iters=%d, reference promoted=%d iters=%d",
 			got.Promoted, got.Iterations, want.Promoted, want.Iterations)
 	}
 	for v := range want.InSet {
 		if got.InSet[v] != want.InSet[v] {
-			t.Fatalf("masks diverge at node %d: worklist=%v reference=%v",
+			t.Fatalf("masks diverge at node %d: engine=%v reference=%v",
 				v, got.InSet[v], want.InSet[v])
 		}
 	}

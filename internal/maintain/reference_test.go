@@ -2,9 +2,9 @@ package maintain
 
 // A global-pass Repair kept as a test-only reference: it recomputes
 // coverage from the mask for every node it examines and sweeps all n
-// nodes every promotion round, which is what the worklist rewrite exists
-// to avoid — and what the equivalence matrix in equivalence_test.go pins
-// the rewrite against, bit for bit.
+// nodes every promotion round, which is what the engine's incremental
+// coverage exists to avoid — and what the equivalence matrix in
+// equivalence_test.go pins the engine against, bit for bit.
 
 import (
 	"fmt"
@@ -14,7 +14,7 @@ import (
 
 // repairReference is the global-pass Repair. Semantics are the published
 // contract — ascending ID order, each promotion counted before the next
-// node's need — and only its cost differs from the worklist version.
+// node's need — and only its cost differs from the engine.
 func repairReference(g *graph.Graph, leader []bool, dead map[graph.NodeID]bool, k int) (RepairResult, error) {
 	n := g.NumNodes()
 	if len(leader) != n {
@@ -45,7 +45,7 @@ func repairReference(g *graph.Graph, leader []bool, dead map[graph.NodeID]bool, 
 	}
 
 	// liveCov counts v's live dominators in the current mask — recounted
-	// from scratch at every use, the full rescan the worklist replaces.
+	// from scratch at every use, the full rescan the engine avoids.
 	liveCov := func(v int) int {
 		c := 0
 		forClosedLive(g, v, dead, func(u int) {
@@ -83,6 +83,29 @@ func repairReference(g *graph.Graph, leader []bool, dead map[graph.NodeID]bool, 
 				}
 			})
 		}
+	}
+}
+
+// forClosedLive visits the live members of v's closed neighborhood in
+// ascending ID order.
+func forClosedLive(g *graph.Graph, v int, dead map[graph.NodeID]bool, fn func(u int)) {
+	visitedSelf := false
+	self := func() {
+		if !dead[graph.NodeID(v)] {
+			fn(v)
+		}
+	}
+	for _, w := range g.Neighbors(graph.NodeID(v)) {
+		if !visitedSelf && int(w) > v {
+			self()
+			visitedSelf = true
+		}
+		if !dead[w] {
+			fn(int(w))
+		}
+	}
+	if !visitedSelf {
+		self()
 	}
 }
 

@@ -107,27 +107,41 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // With no observations it returns 0; ranks landing in the +Inf bucket
 // report the largest finite bound.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.total.Load()
-	if total == 0 {
+	counts := make([]int64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
+	return quantile(h.bounds, counts, q)
+}
+
+// quantile is the one bucket interpolation behind Histogram.Quantile and
+// PromHistogram.Quantile. counts holds per-bucket (non-cumulative) counts
+// over the finite ascending bounds plus the +Inf bucket last; the total
+// is their sum, so one snapshot of counts always yields a consistent
+// rank.
+func quantile(bounds []float64, counts []int64, q float64) float64 {
+	total := int64(0)
+	for _, n := range counts {
+		total += n
+	}
+	if total == 0 || len(bounds) == 0 {
 		return 0
 	}
 	rank := q * float64(total)
 	cum := int64(0)
-	for i := range h.counts {
-		n := h.counts[i].Load()
+	for i, n := range counts {
 		if n == 0 {
-			cum += n
 			continue
 		}
 		if float64(cum+n) >= rank {
-			if i == len(h.bounds) { // +Inf bucket: clamp
-				return h.bounds[len(h.bounds)-1]
+			if i == len(bounds) { // +Inf bucket: clamp
+				return bounds[len(bounds)-1]
 			}
 			lo := 0.0
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = bounds[i-1]
 			}
-			hi := h.bounds[i]
+			hi := bounds[i]
 			frac := (rank - float64(cum)) / float64(n)
 			if frac < 0 {
 				frac = 0
@@ -138,7 +152,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		cum += n
 	}
-	return h.bounds[len(h.bounds)-1]
+	return bounds[len(bounds)-1]
 }
 
 // Merge adds o's buckets into h. Both histograms must share the exact

@@ -64,35 +64,10 @@ type PromHistogram struct {
 // Quantile estimates the q-quantile by the same bucket interpolation as
 // Histogram.Quantile, so fleet-level percentiles match node-local ones.
 func (h *PromHistogram) Quantile(q float64) float64 {
-	if h == nil || h.Count == 0 || len(h.Bounds) == 0 {
+	if h == nil {
 		return 0
 	}
-	rank := q * float64(h.Count)
-	cum := int64(0)
-	for i, n := range h.Buckets {
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i == len(h.Bounds) { // +Inf bucket: clamp
-				return h.Bounds[len(h.Bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.Bounds[i-1]
-			}
-			hi := h.Bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return h.Bounds[len(h.Bounds)-1]
+	return quantile(h.Bounds, h.Buckets, q)
 }
 
 // Families returns the families in first-seen order.

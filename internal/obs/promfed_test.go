@@ -146,6 +146,51 @@ func TestParsePrometheusRoundTrip(t *testing.T) {
 	}
 }
 
+// A quantile read from a scraped exposition equals the node-local one
+// exactly: WritePrometheus → ParsePrometheus → PromHistogram.Quantile
+// must reproduce Histogram.Quantile bit for bit.
+func TestQuantileRoundTripThroughExposition(t *testing.T) {
+	durations := make([]float64, 1000)
+	for i := range durations {
+		// 100 µs to ~750 s: spans every duration bucket and overflows.
+		durations[i] = 1e-4 * math.Pow(2, float64(i%230)/10)
+	}
+	cases := []struct {
+		name   string
+		bounds []float64
+		obs    []float64
+	}{
+		{"empty", []float64{1, 2, 4}, nil},
+		{"single-bucket", []float64{1}, []float64{0.25, 0.5, 0.5, 1}},
+		{"overflow", []float64{1, 2, 4}, []float64{0.5, 3, 10, 100, 1e6}},
+		{"durations", DurationBuckets(), durations},
+	}
+	for _, tc := range cases {
+		reg := NewRegistry()
+		h := reg.Histogram("ft_rt_seconds", "round trip", tc.bounds)
+		for _, v := range tc.obs {
+			h.Observe(v)
+		}
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := ParsePrometheus(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		ph, ok := snap.Hist("ft_rt_seconds")
+		if !ok || ph.Count != h.Count() {
+			t.Fatalf("%s: parsed histogram %+v, want count %d", tc.name, ph, h.Count())
+		}
+		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
+			if got, want := ph.Quantile(q), h.Quantile(q); got != want {
+				t.Errorf("%s: q=%v scraped %v, local %v", tc.name, q, got, want)
+			}
+		}
+	}
+}
+
 func TestMergePrometheusSumsPeers(t *testing.T) {
 	agg := NewPromSnapshot()
 	for _, scale := range []int64{1, 2, 4} {

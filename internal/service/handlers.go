@@ -140,11 +140,6 @@ type SessionCreateResponse struct {
 	Solution  *SolutionJSON `json:"solution"`
 }
 
-// FailRequest is the body of POST /v1/session/{id}/fail.
-type FailRequest struct {
-	Nodes []int `json:"nodes"`
-}
-
 // maxDeltaOps caps the ops in a single delta batch; larger batches get 400.
 const maxDeltaOps = 4096
 
@@ -230,9 +225,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // It writes the error response itself and reports success.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := decodeStrict(r.Body, dst); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -243,6 +236,26 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) boo
 		return false
 	}
 	return true
+}
+
+// decodeStrict decodes exactly one JSON value into dst, rejecting unknown
+// fields and anything but whitespace after the value — a second value
+// would otherwise be silently dropped.
+func decodeStrict(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	var extra json.RawMessage
+	switch err := dec.Decode(&extra); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("trailing data after JSON value")
+	default:
+		return err
+	}
 }
 
 // readBody drains a size-capped request body into memory — the routing
@@ -267,9 +280,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 // decodeBody strictly decodes an already-read body, mirroring
 // decodeJSON's 400 shape.
 func decodeBody(w http.ResponseWriter, body []byte, dst any) bool {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := decodeStrict(bytes.NewReader(body), dst); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed JSON: %v", err))
 		return false
 	}
@@ -783,30 +794,6 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, sess.state())
-}
-
-func (s *Server) handleSessionFail(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.sessions.get(r.PathValue("id"), time.Now())
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	var req FailRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if len(req.Nodes) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("nodes must be non-empty"))
-		return
-	}
-	start := time.Now()
-	resp, st, err := sess.fail(req.Nodes, obs.TraceFrom(r.Context()))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.metrics.observeRepair(st, time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -17,11 +16,10 @@ import (
 // "other") so the per-endpoint series stay bounded whatever clients send.
 var endpointLabels = []string{
 	"/v1/solve", "/v1/solvebatch", "/v1/verify",
-	"/v1/session", "/v1/session/{id}", "/v1/session/{id}/fail",
-	"/v1/session/{id}/delta",
+	"/v1/session", "/v1/session/{id}", "/v1/session/{id}/delta",
 	"/cluster/v1/gossip", "/cluster/v1/peers",
 	"/cluster/v1/fleet", "/cluster/v1/fleet/metrics",
-	"/metrics", "/debug/metrics", "/debug/trace", "/debug/trace/{id}",
+	"/metrics", "/debug/trace", "/debug/trace/{id}",
 	"/debug/events", "/healthz", "other",
 }
 
@@ -31,16 +29,13 @@ func endpointLabel(path string) string {
 	case "/v1/solve", "/v1/solvebatch", "/v1/verify", "/v1/session",
 		"/cluster/v1/gossip", "/cluster/v1/peers",
 		"/cluster/v1/fleet", "/cluster/v1/fleet/metrics",
-		"/metrics", "/debug/metrics", "/debug/trace", "/debug/events", "/healthz":
+		"/metrics", "/debug/trace", "/debug/events", "/healthz":
 		return path
 	}
 	switch {
 	case strings.HasPrefix(path, "/debug/trace/"):
 		return "/debug/trace/{id}"
 	case strings.HasPrefix(path, "/v1/session/"):
-		if strings.HasSuffix(path, "/fail") {
-			return "/v1/session/{id}/fail"
-		}
 		if strings.HasSuffix(path, "/delta") {
 			return "/v1/session/{id}/delta"
 		}
@@ -54,10 +49,9 @@ var solverPhases = []string{"fractional", "rounding", "verify"}
 
 // metrics holds the service's observability state: atomic counters,
 // gauges read through callbacks, and fixed log-bucket histograms — all
-// registered in an obs.Registry for /metrics (Prometheus text
-// exposition) and summarized as JSON for /debug/metrics. Histograms
-// replace the former 1024-sample sorted-copy latency ring: observation
-// is lock-free and quantiles come from bucket interpolation.
+// registered in an obs.Registry and served at /metrics (Prometheus text
+// exposition). Observation is lock-free and quantiles come from bucket
+// interpolation.
 type metrics struct {
 	start time.Time
 	reg   *obs.Registry
@@ -87,13 +81,13 @@ type metrics struct {
 	fleetScrapeErrors *obs.Counter
 
 	sessionsCreated *obs.Counter
-	repairs         *obs.Counter // accepted mutation batches (fail + delta)
+	repairs         *obs.Counter // accepted session mutation batches
 	assessments     *obs.Counter // damage assessments run (exactly one per accepted batch)
 	fallbacks       *obs.Counter // drift-triggered certified re-solves
 	sessionsExpired *obs.Counter // sessions swept by the idle-TTL janitor
 
 	// Per-repair series: patch size (nodes entering/leaving S), touched
-	// nodes (the damage the worklist actually paid for), promotion passes
+	// nodes (the damage the repair actually paid for), promotion passes
 	// and wall time — the damage-proportionality story as metrics.
 	repairPatchNodes *obs.Histogram
 	repairTouched    *obs.Histogram
@@ -156,7 +150,7 @@ func newMetrics(now time.Time) *metrics {
 			"fleet scrapes that failed (peer down, timeout, or unparseable body)"),
 
 		sessionsCreated: reg.Counter("ftclust_sessions_created_total", "sessions created"),
-		repairs:         reg.Counter("ftclust_repairs_total", "session failure repairs"),
+		repairs:         reg.Counter("ftclust_repairs_total", "accepted session mutation batches"),
 		assessments:     reg.Counter("ftclust_assessments_total", "damage assessments (one per accepted mutation batch)"),
 		fallbacks:       reg.Counter("ftclust_repair_fallbacks_total", "drift-triggered certified full re-solves"),
 		sessionsExpired: reg.Counter("ftclust_sessions_expired_total", "sessions swept by the idle-TTL janitor"),
@@ -250,7 +244,8 @@ func (m *metrics) observeSolveStats(s ftclust.SolveStats) {
 	m.dualGap.Observe(s.DualGap)
 }
 
-// MetricsSnapshot is the JSON shape of /debug/metrics.
+// MetricsSnapshot is an in-process summary of the counters, gauges and
+// latency quantiles that /metrics exposes, read by Server.Metrics.
 type MetricsSnapshot struct {
 	UptimeSeconds   float64 `json:"uptime_seconds"`
 	Solves          int64   `json:"solves"`
@@ -320,22 +315,6 @@ func (m *metrics) snapshot(now time.Time) MetricsSnapshot {
 		QueueWaitP99:    toMs(m.queueWait.Quantile(0.99)),
 		QueueWaitSample: m.queueWait.Count(),
 	}
-}
-
-// handler serves /debug/metrics. The snapshot is encoded into a buffer
-// first so an encoding failure can still yield a clean 500 instead of a
-// half-written 200.
-func (m *metrics) handler(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(m.snapshot(time.Now())); err != nil {
-		http.Error(w, "encoding metrics snapshot: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
 }
 
 // promHandler serves /metrics in Prometheus text exposition format.

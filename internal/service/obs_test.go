@@ -214,7 +214,7 @@ func TestQueueWaitAndSolveLatencySeparation(t *testing.T) {
 // All read-only observability endpoints reject non-GET methods.
 func TestDebugEndpointsRejectNonGET(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, path := range []string{"/metrics", "/debug/metrics", "/debug/trace", "/debug/trace/xyz"} {
+	for _, path := range []string{"/metrics", "/debug/trace", "/debug/trace/xyz"} {
 		resp, _ := postJSON(t, ts.URL+path, "{}")
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("POST %s: status %d, want 405", path, resp.StatusCode)

@@ -8,7 +8,7 @@ import (
 	"ftclust"
 )
 
-// Queue errors, surfaced to clients as 503s.
+// Queue errors, surfaced to clients as 429 (full) and 503 (draining).
 var (
 	// errQueueFull reports that the bounded job queue had no free slot.
 	errQueueFull = errors.New("service: job queue full")

@@ -8,12 +8,12 @@
 //   - POST /v1/verify         — feasibility check of a proposed set
 //   - POST /v1/session        — solve + register a stateful cluster session
 //   - GET  /v1/session/{id}   — session status
-//   - POST /v1/session/{id}/fail — inject failures; repaired locally with
-//     maintain.Repair, never a full re-solve
+//   - POST /v1/session/{id}/delta — one batch of churn ops (fail, revive,
+//     add_edge, del_edge, add_node), repaired locally by the maintain
+//     engine, never a full re-solve unless topology drift exceeds its bound
 //   - DELETE /v1/session/{id} — drop a session
 //   - GET  /metrics           — Prometheus text exposition (per-endpoint
 //     latency histograms, queue-wait vs solve split, solver phase series)
-//   - GET  /debug/metrics     — the same state summarized as JSON
 //   - GET  /debug/trace       — recent request traces (newest first)
 //   - GET  /debug/trace/{id}  — one request's span tree as JSON
 //   - GET  /debug/events      — cluster/service event log (newest first)
@@ -23,15 +23,15 @@
 //   - GET  /healthz           — liveness
 //
 // Behind the handlers sit a bounded job queue with a fixed solver-worker
-// pool (overload returns 503 instead of queueing unboundedly; each worker
-// owns a reusable solver arena, so steady-state solves allocate nothing),
-// an LRU solution cache keyed by the canonical graph hash plus solver
-// options (deterministic solver ⇒ a hit is byte-identical to a re-solve),
-// in-flight coalescing of identical requests (concurrent duplicates wait
-// for the one running solve instead of occupying more workers; X-Cache:
-// coalesced), and per-request deadlines threaded into the solver's round
-// loop via ftclust.WithContext. Shutdown drains in-flight solves before
-// returning.
+// pool (overload returns 429 instead of queueing unboundedly, and 503
+// means the server is draining; each worker owns a reusable solver arena,
+// so steady-state solves allocate nothing), an LRU solution cache keyed
+// by the canonical graph hash plus solver options (deterministic solver ⇒
+// a hit is byte-identical to a re-solve), in-flight coalescing of
+// identical requests (concurrent duplicates wait for the one running
+// solve instead of occupying more workers; X-Cache: coalesced), and
+// per-request deadlines threaded into the solver's round loop via
+// ftclust.WithContext. Shutdown drains in-flight solves before returning.
 //
 // Every response carries an X-Request-ID header (client-supplied IDs are
 // propagated); the ID resolves at /debug/trace/{id} to a span tree
@@ -59,7 +59,7 @@ type Config struct {
 	// concurrently (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the backlog of accepted-but-not-started solves
-	// (default 64); beyond it /v1/solve returns 503.
+	// (default 64); beyond it /v1/solve returns 429.
 	QueueDepth int
 	// CacheSize is the LRU solution-cache capacity in entries
 	// (default 128; ≤ -1 disables caching, 0 selects the default).
@@ -252,11 +252,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/verify", s.handleVerify)
 	s.mux.HandleFunc("POST /v1/session", s.handleSessionCreate)
 	s.mux.HandleFunc("GET /v1/session/{id}", s.handleSessionGet)
-	s.mux.HandleFunc("POST /v1/session/{id}/fail", s.handleSessionFail)
 	s.mux.HandleFunc("POST /v1/session/{id}/delta", s.handleSessionDelta)
 	s.mux.HandleFunc("DELETE /v1/session/{id}", s.handleSessionDelete)
 	s.mux.HandleFunc("GET /metrics", s.metrics.promHandler)
-	s.mux.HandleFunc("GET /debug/metrics", s.metrics.handler)
 	s.mux.HandleFunc("GET /debug/trace", s.handleTraceList)
 	s.mux.HandleFunc("GET /debug/trace/{id}", s.handleTraceGet)
 	s.mux.HandleFunc("GET /debug/events", s.handleEvents)

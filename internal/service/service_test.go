@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ftclust"
+	"ftclust/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -199,18 +200,24 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	coldSolves := s.Metrics().Solves
 
-	// Status.
-	resp, body = postJSON(t, ts.URL+"/v1/session/"+created.SessionID+"/fail",
-		fmt.Sprintf(`{"nodes":[%d,%d]}`, created.Solution.Members[0], created.Solution.Members[1]))
+	// Failures go through the delta fail op; there is no /fail route.
+	resp, _ = postJSON(t, ts.URL+"/v1/session/"+created.SessionID+"/fail",
+		fmt.Sprintf(`{"nodes":[%d]}`, created.Solution.Members[0]))
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("removed /fail route: status %d, want 404", resp.StatusCode)
+	}
+
+	resp, body = postJSON(t, ts.URL+"/v1/session/"+created.SessionID+"/delta",
+		failDelta(created.Solution.Members[0], created.Solution.Members[1]))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fail: status %d, body %s", resp.StatusCode, body)
 	}
-	var fr FailResponse
-	if err := json.Unmarshal(body, &fr); err != nil {
+	var dr DeltaResponse
+	if err := json.Unmarshal(body, &dr); err != nil {
 		t.Fatal(err)
 	}
-	if fr.LostHeads != 2 || fr.FailedTotal != 2 || !fr.Feasible {
-		t.Fatalf("fail response: %+v", fr)
+	if dr.LostHeads != 2 || dr.NewlyDead != 2 || !dr.Feasible {
+		t.Fatalf("fail response: %+v", dr)
 	}
 	// The session survived via local repair: no additional full solve ran.
 	if got := s.Metrics().Solves; got != coldSolves {
@@ -236,17 +243,17 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	// Bad failure payloads.
-	resp, _ = postJSON(t, ts.URL+"/v1/session/"+created.SessionID+"/fail", `{"nodes":[]}`)
+	resp, _ = postJSON(t, ts.URL+"/v1/session/"+created.SessionID+"/delta", failDelta())
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty nodes: status %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/session/"+created.SessionID+"/fail", `{"nodes":[5000]}`)
+	resp, _ = postJSON(t, ts.URL+"/v1/session/"+created.SessionID+"/delta", failDelta(5000))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range node: status %d, want 400", resp.StatusCode)
 	}
 
 	// Unknown session.
-	resp, _ = postJSON(t, ts.URL+"/v1/session/nope/fail", `{"nodes":[1]}`)
+	resp, _ = postJSON(t, ts.URL+"/v1/session/nope/delta", failDelta(1))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session fail: status %d, want 404", resp.StatusCode)
 	}
@@ -289,17 +296,17 @@ func TestSessionRepeatedFailureWaves(t *testing.T) {
 	coldSolves := s.Metrics().Solves
 	members := created.Solution.Members
 	for wave := 0; wave < 4; wave++ {
-		resp, body := postJSON(t, ts.URL+"/v1/session/"+created.SessionID+"/fail",
-			fmt.Sprintf(`{"nodes":[%d,%d]}`, members[2*wave], members[2*wave+1]))
+		resp, body := postJSON(t, ts.URL+"/v1/session/"+created.SessionID+"/delta",
+			failDelta(members[2*wave], members[2*wave+1]))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("wave %d: %d %s", wave, resp.StatusCode, body)
 		}
-		var fr FailResponse
-		if err := json.Unmarshal(body, &fr); err != nil {
+		var dr DeltaResponse
+		if err := json.Unmarshal(body, &dr); err != nil {
 			t.Fatal(err)
 		}
-		if !fr.Feasible {
-			t.Fatalf("wave %d left the session infeasible: %+v", wave, fr)
+		if !dr.Feasible {
+			t.Fatalf("wave %d left the session infeasible: %+v", wave, dr)
 		}
 	}
 	if s.Metrics().Solves != coldSolves {
@@ -593,7 +600,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	postJSON(t, ts.URL+"/v1/solve", gnpSolveBody)
-	resp, err := http.Get(ts.URL + "/debug/metrics")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,12 +608,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var snap MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("metrics not valid JSON: %v", err)
+	snap, err := obs.ParsePrometheus(resp.Body)
+	if err != nil {
+		t.Fatalf("metrics not a valid exposition: %v", err)
 	}
-	if snap.Solves < 1 || snap.LatencySamples < 1 {
-		t.Fatalf("metrics snapshot: %+v", snap)
+	solves, _ := snap.Value("ftclust_solves_total")
+	lat, ok := snap.Hist("ftclust_solve_duration_seconds")
+	if solves < 1 || !ok || lat.Count < 1 {
+		t.Fatalf("metrics: solves=%v solve-latency histogram %+v", solves, lat)
+	}
+
+	// /metrics is the only metrics rendering; there is no JSON twin.
+	dm, err := http.Get(ts.URL + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm.Body.Close()
+	if dm.StatusCode != http.StatusNotFound {
+		t.Fatalf("removed /debug/metrics route: status %d, want 404", dm.StatusCode)
 	}
 
 	hz, err := http.Get(ts.URL + "/healthz")

@@ -188,20 +188,6 @@ type SessionState struct {
 	Feasible  bool   `json:"feasible"`
 }
 
-// FailResponse is the JSON result of injecting failures into a session.
-type FailResponse struct {
-	SessionID       string `json:"session_id"`
-	Epoch           int64  `json:"epoch"`
-	Failed          int    `json:"failed"`
-	FailedTotal     int    `json:"failed_total"`
-	LostHeads       int    `json:"lost_heads"`
-	DeficientBefore int    `json:"deficient_before"`
-	Promoted        int    `json:"promoted"`
-	Iterations      int    `json:"iterations"`
-	Size            int    `json:"size"`
-	Feasible        bool   `json:"feasible"`
-}
-
 // RepairPatch is the incremental diff a delta request streams back: apply
 // entered/left to a mirrored member set and it matches the session.
 type RepairPatch struct {
@@ -257,51 +243,6 @@ func (s *session) state() SessionState {
 		// session is always feasible — no assessment pass needed.
 		Feasible: true,
 	}
-}
-
-// fail marks nodes dead and restores k-coverage with a local repair. The
-// whole batch is range-checked before any node is marked: a rejected
-// request leaves the session untouched. tr (nil-safe) receives the
-// repair-phase spans.
-func (s *session) fail(nodes []int, tr *obs.Trace) (FailResponse, repairStats, error) {
-	ids := make([]graph.NodeID, len(nodes))
-	for i, v := range nodes {
-		ids[i] = graph.NodeID(v)
-	}
-	ops := []maintain.Op{{Kind: maintain.OpFail, Nodes: ids}}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	repairSpan := tr.StartSpan(nil, "repair")
-	defer repairSpan.End()
-	assess := tr.StartSpan(repairSpan, "assess")
-	if err := s.engine.Validate(ops); err != nil {
-		assess.SetAttr("rejected", "true")
-		assess.End()
-		return FailResponse{}, repairStats{}, err
-	}
-	assess.End()
-	promote := tr.StartSpan(repairSpan, "promote")
-	p := s.engine.Apply(ops)
-	promote.SetAttr("touched", strconv.Itoa(p.Touched))
-	promote.SetAttr("iterations", strconv.Itoa(p.Iterations))
-	promote.SetAttr("promoted", strconv.Itoa(len(p.Entered)))
-	promote.End()
-	s.epoch++
-	s.repairs++
-	s.promotedTotal += len(p.Entered)
-	return FailResponse{
-		SessionID:       s.id,
-		Epoch:           s.epoch,
-		Failed:          p.NewlyDead,
-		FailedTotal:     s.engine.DeadCount(),
-		LostHeads:       p.LostHeads,
-		DeficientBefore: p.DeficientBefore,
-		Promoted:        len(p.Entered),
-		Iterations:      p.Iterations,
-		Size:            s.engine.Size(),
-		Feasible:        true,
-	}, s.statsFor(p), nil
 }
 
 // delta applies one batch of churn ops and returns the repair patch. On
@@ -367,10 +308,12 @@ func (s *session) delta(ops []maintain.Op, tr *obs.Trace) (DeltaResponse, repair
 		// After adoption the honest patch is the net diff over the batch.
 		resp.Patch.Entered, resp.Patch.Left = maskDiff(preMask, s.engine.InSet())
 	}
-	st := s.statsFor(p)
-	st.fallback = resp.Fallback
-	st.patchNodes = len(resp.Patch.Entered) + len(resp.Patch.Left)
-	return resp, st, nil
+	return resp, repairStats{
+		patchNodes: len(resp.Patch.Entered) + len(resp.Patch.Left),
+		touched:    p.Touched,
+		iterations: p.Iterations,
+		fallback:   resp.Fallback,
+	}, nil
 }
 
 // fallbackResolveLocked compacts the drifted topology, runs the full
@@ -400,15 +343,6 @@ func (s *session) fallbackResolveLocked() error {
 		return err
 	}
 	return nil
-}
-
-func (s *session) statsFor(p maintain.Patch) repairStats {
-	return repairStats{
-		patchNodes: len(p.Entered) + len(p.Left),
-		touched:    p.Touched,
-		iterations: p.Iterations,
-		fallback:   p.DriftExceeded,
-	}
 }
 
 func toInts(ids []graph.NodeID) []int {

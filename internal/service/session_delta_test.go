@@ -21,6 +21,15 @@ func pathSessionBody(n, k int) string {
 	return fmt.Sprintf(`{"graph":{"n":%d,"edges":[%s]},"k":%d}`, n, strings.Join(edges, ","), k)
 }
 
+// failDelta is the /delta body of one fail op killing nodes.
+func failDelta(nodes ...int) string {
+	ids := make([]string, len(nodes))
+	for i, v := range nodes {
+		ids[i] = fmt.Sprint(v)
+	}
+	return `{"ops":[{"op":"fail","nodes":[` + strings.Join(ids, ",") + `]}]}`
+}
+
 func createSession(t *testing.T, url, body string) SessionCreateResponse {
 	t.Helper()
 	resp, b := postJSON(t, url+"/v1/session", body)
@@ -151,8 +160,7 @@ func TestSessionFailRejectionLeavesStateUntouched(t *testing.T) {
 	_, before := getState(t, ts.URL, id)
 
 	// Valid member first, out-of-range second: 400, nothing sticks.
-	resp, b := postJSON(t, ts.URL+"/v1/session/"+id+"/fail",
-		fmt.Sprintf(`{"nodes":[%d,99999]}`, member))
+	resp, b := postJSON(t, ts.URL+"/v1/session/"+id+"/delta", failDelta(member, 99999))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("mixed fail batch: status %d, body %s", resp.StatusCode, b)
 	}
@@ -163,17 +171,16 @@ func TestSessionFailRejectionLeavesStateUntouched(t *testing.T) {
 
 	// The prefix node must still be alive: failing it now reports 1 fresh
 	// death, which it wouldn't if the rejected batch had leaked.
-	resp, b = postJSON(t, ts.URL+"/v1/session/"+id+"/fail",
-		fmt.Sprintf(`{"nodes":[%d]}`, member))
+	resp, b = postJSON(t, ts.URL+"/v1/session/"+id+"/delta", failDelta(member))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("follow-up fail: status %d, body %s", resp.StatusCode, b)
 	}
-	var fr FailResponse
-	if err := json.Unmarshal(b, &fr); err != nil {
+	var dr DeltaResponse
+	if err := json.Unmarshal(b, &dr); err != nil {
 		t.Fatal(err)
 	}
-	if fr.Failed != 1 || fr.FailedTotal != 1 {
-		t.Fatalf("prefix node leaked from rejected batch: %+v", fr)
+	if st, _ := getState(t, ts.URL, id); dr.NewlyDead != 1 || st.DeadNodes != 1 {
+		t.Fatalf("prefix node leaked from rejected batch: %+v, dead_nodes %d", dr, st.DeadNodes)
 	}
 
 	// Same atomicity for delta batches: valid ops before an invalid one
@@ -190,6 +197,43 @@ func TestSessionFailRejectionLeavesStateUntouched(t *testing.T) {
 	}
 }
 
+// A body holding anything but whitespace after its JSON value is
+// malformed: a second value must be rejected, not silently dropped.
+func TestTrailingJSONRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cr := createSession(t, ts.URL, pathSessionBody(10, 1))
+	id := cr.SessionID
+
+	_, before := getState(t, ts.URL, id)
+	resp, b := postJSON(t, ts.URL+"/v1/session/"+id+"/delta",
+		`{"ops":[{"op":"add_node"}]} {"ops":[{"op":"fail","nodes":[0]}]}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "malformed JSON") {
+		t.Fatalf("delta with a trailing batch: status %d, body %s", resp.StatusCode, b)
+	}
+	if _, after := getState(t, ts.URL, id); string(before) != string(after) {
+		t.Fatalf("rejected delta mutated state:\nbefore %s\nafter  %s", before, after)
+	}
+
+	for _, body := range []string{gnpSolveBody + " trailing", gnpSolveBody + " {}"} {
+		resp, b := postJSON(t, ts.URL+"/v1/solve", body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "malformed JSON") {
+			t.Fatalf("solve %q: status %d, body %s", body, resp.StatusCode, b)
+		}
+	}
+
+	// Trailing whitespace stays accepted.
+	if resp, b := postJSON(t, ts.URL+"/v1/solve", gnpSolveBody+" \n\t"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve with trailing whitespace: status %d, body %s", resp.StatusCode, b)
+	}
+	resp, b = postJSON(t, ts.URL+"/v1/session/"+id+"/delta", `{"ops":[{"op":"add_node"}]}`+"\n")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta with trailing whitespace: status %d, body %s", resp.StatusCode, b)
+	}
+	if st, _ := getState(t, ts.URL, id); st.Epoch != 1 || st.N != 11 {
+		t.Fatalf("state after the accepted delta: %+v", st)
+	}
+}
+
 // TestSessionSingleAssessmentPerFail pins the double-assessment fix: each
 // accepted fail runs exactly one damage assessment (the engine's deficit
 // pass), tracked by the assessments counter moving in lockstep with
@@ -201,8 +245,7 @@ func TestSessionSingleAssessmentPerFail(t *testing.T) {
 
 	for wave := 0; wave < 4; wave++ {
 		node := cr.Solution.Members[wave]
-		resp, b := postJSON(t, ts.URL+"/v1/session/"+id+"/fail",
-			fmt.Sprintf(`{"nodes":[%d]}`, node))
+		resp, b := postJSON(t, ts.URL+"/v1/session/"+id+"/delta", failDelta(node))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("wave %d: status %d, body %s", wave, resp.StatusCode, b)
 		}
@@ -215,7 +258,7 @@ func TestSessionSingleAssessmentPerFail(t *testing.T) {
 		}
 	}
 	// Rejected requests assess nothing.
-	postJSON(t, ts.URL+"/v1/session/"+id+"/fail", `{"nodes":[99999]}`)
+	postJSON(t, ts.URL+"/v1/session/"+id+"/delta", failDelta(99999))
 	if m := s.Metrics(); m.Assessments != 4 {
 		t.Fatalf("rejected fail ran an assessment: %d", m.Assessments)
 	}
@@ -280,12 +323,11 @@ func TestSessionDeltaFallbackWithAllNodesDead(t *testing.T) {
 	cr := createSession(t, ts.URL, pathSessionBody(120, 1))
 	id := cr.SessionID
 
-	nodes := make([]string, 120)
+	nodes := make([]int, 120)
 	for i := range nodes {
-		nodes[i] = fmt.Sprintf("%d", i)
+		nodes[i] = i
 	}
-	resp, b := postJSON(t, ts.URL+"/v1/session/"+id+"/fail",
-		`{"nodes":[`+strings.Join(nodes, ",")+`]}`)
+	resp, b := postJSON(t, ts.URL+"/v1/session/"+id+"/delta", failDelta(nodes...))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fail all: status %d, body %s", resp.StatusCode, b)
 	}
@@ -394,7 +436,7 @@ func TestConcurrentSessionOps(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				node := cr.Solution.Members[(w*8+i)%len(cr.Solution.Members)]
-				post("/v1/session/"+id+"/fail", fmt.Sprintf(`{"nodes":[%d]}`, node))
+				post("/v1/session/"+id+"/delta", failDelta(node))
 			}
 		}(w)
 		// Delta churn: edge toggles and node appends (conflicts 400).

@@ -49,11 +49,12 @@ func TestSessionStoreParallelChurn(t *testing.T) {
 					return
 				}
 				victim := (w*perWorker + i) % g.NumNodes()
-				if _, _, err := s.fail([]int{victim}, nil); err != nil {
+				ops := []maintain.Op{{Kind: maintain.OpFail, Nodes: []graph.NodeID{graph.NodeID(victim)}}}
+				if _, _, err := s.delta(ops, nil); err != nil {
 					t.Errorf("worker %d fail: %v", w, err)
 					return
 				}
-				ops := []maintain.Op{{Kind: maintain.OpRevive, Nodes: []graph.NodeID{graph.NodeID(victim)}}}
+				ops = []maintain.Op{{Kind: maintain.OpRevive, Nodes: []graph.NodeID{graph.NodeID(victim)}}}
 				if _, _, err := s.delta(ops, nil); err != nil {
 					t.Errorf("worker %d delta: %v", w, err)
 					return
