@@ -101,7 +101,9 @@ const (
 	ClosedPP = verify.ClosedPP
 )
 
-// NewGraph builds a graph with n nodes from an edge list.
+// NewGraph builds a graph with n nodes from an edge list. It returns an
+// error for a negative n, a self-loop, an out-of-range endpoint or a
+// duplicate edge.
 func NewGraph(n int, edges []Edge) (*Graph, error) {
 	return graph.FromEdges(n, edges)
 }

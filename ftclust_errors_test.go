@@ -50,6 +50,13 @@ func TestSolverInputValidation(t *testing.T) {
 	}
 }
 
+// A negative node count is an input error, not a panic.
+func TestNewGraphNegativeNodeCount(t *testing.T) {
+	if g, err := NewGraph(-1, nil); err == nil {
+		t.Fatalf("NewGraph(-1, nil) = %v, want an error", g)
+	}
+}
+
 // WithContext with an immediately-canceled context must abort with
 // ErrCanceled for both general-graph pipelines.
 func TestWithContextCanceled(t *testing.T) {

@@ -98,3 +98,39 @@ func FuzzRead(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFromEdges checks FromEdges against refFromEdges, the map-backed
+// construction it replaced: when both accept, n, m, every row and the
+// canonical hash match; otherwise both reject. The first byte is a signed
+// node count, each following byte pair a signed edge, so negative and
+// out-of-range endpoints, self-loops and duplicates in both orientations
+// all occur.
+func FuzzFromEdges(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 1, 2, 1, 0})       // duplicate, reversed orientation
+	f.Add([]byte{4, 2, 3, 0, 1, 2, 3})       // duplicate, same orientation
+	f.Add([]byte{3, 0, 1, 2, 2})             // self-loop
+	f.Add([]byte{3, 0, 0xff})                // negative endpoint
+	f.Add([]byte{3, 0, 3})                   // out of range
+	f.Add([]byte{0xfe})                      // negative n
+	f.Add([]byte{0})                         // n = 0
+	f.Add([]byte{0, 0, 1})                   // n = 0 with an edge
+	f.Add([]byte{6, 5, 0, 4, 1, 3, 2, 0, 5}) // valid, then a duplicate
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 || len(in) > 1<<12 {
+			return
+		}
+		n := int(int8(in[0]))
+		var edges []Edge
+		for i := 1; i+1 < len(in); i += 2 {
+			edges = append(edges, Edge{NodeID(int8(in[i])), NodeID(int8(in[i+1]))})
+		}
+		got, err := FromEdges(n, edges)
+		want, refErr := refFromEdges(n, edges)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("FromEdges(%d, %v): err %v, reference err %v", n, edges, err, refErr)
+		}
+		if err == nil {
+			sameGraph(t, got, want)
+		}
+	})
+}

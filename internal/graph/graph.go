@@ -10,6 +10,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -170,28 +172,15 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 // Build produces the immutable Graph. The Builder remains usable and
 // subsequent Builds reflect later additions.
 func (b *Builder) Build() *Graph {
-	deg := make([]int32, b.n)
+	// The map's iteration order does not reach the graph: FromEdges
+	// sorts every row.
+	edges := make([]Edge, len(b.edges))
+	i := 0
 	for e := range b.edges {
-		deg[e.U]++
-		deg[e.V]++
+		edges[i] = e
+		i++
 	}
-	off := make([]int32, b.n+1)
-	for v := 0; v < b.n; v++ {
-		off[v+1] = off[v] + deg[v]
-	}
-	adj := make([]NodeID, off[b.n])
-	fill := make([]int32, b.n)
-	for e := range b.edges {
-		adj[off[e.U]+fill[e.U]] = e.V
-		fill[e.U]++
-		adj[off[e.V]+fill[e.V]] = e.U
-		fill[e.V]++
-	}
-	for v := 0; v < b.n; v++ {
-		ns := adj[off[v]:off[v+1]]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	}
-	return &Graph{n: b.n, m: len(b.edges), off: off, adj: adj}
+	return MustFromEdges(b.n, edges)
 }
 
 // fromCanonicalEdges builds a Graph directly from an edge list that is
@@ -231,16 +220,61 @@ func fromCanonicalEdges(n int, edges []Edge) *Graph {
 	return &Graph{n: n, m: len(edges), off: off, adj: adj}
 }
 
-// FromEdges builds a graph with n nodes from an edge list. It returns an
-// error on any invalid or duplicate edge.
+// FromEdges builds a graph with n nodes from an edge list, in either
+// orientation and any order. It returns an error for a negative n, for
+// the first self-loop or out-of-range edge in input order, and otherwise
+// for a duplicate edge, naming the smallest duplicated (u, v) with u < v.
+//
+// The CSR is built directly in O(n + m log Δ) with a constant number of
+// allocations: a degree count, a fill, then one sort per row, after which
+// a duplicate is two adjacent equal entries.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
-	b := NewBuilder(n)
+	if n < 0 {
+		return nil, fmt.Errorf("graph: negative node count %d", n)
+	}
+	if len(edges) > math.MaxInt32/2 {
+		return nil, fmt.Errorf("graph: %d edges exceed the limit of %d", len(edges), math.MaxInt32/2)
+	}
+	// off[v+1] counts v's degree, then becomes a prefix sum.
+	off := make([]int32, n+1)
 	for _, e := range edges {
-		if err := b.AddEdge(e.U, e.V); err != nil {
-			return nil, err
+		if e.U == e.V {
+			return nil, fmt.Errorf("graph: self-loop at node %d", e.U)
+		}
+		if e.U < 0 || e.V < 0 || int(e.U) >= n || int(e.V) >= n {
+			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+		}
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	// Fill each row from its start, advancing off[v] as the row's cursor;
+	// once full, off[v] is the end of row v, so a shift by one slot
+	// restores the offsets.
+	adj := make([]NodeID, off[n])
+	for _, e := range edges {
+		adj[off[e.U]] = e.V
+		off[e.U]++
+		adj[off[e.V]] = e.U
+		off[e.V]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	// Rows are scanned in ascending order, so the first duplicate found
+	// is the smallest: a duplicated (u, v) with u < v shows up in row u
+	// before it shows up in row v.
+	for u := 0; u < n; u++ {
+		row := adj[off[u]:off[u+1]]
+		slices.Sort(row)
+		for i := 1; i < len(row); i++ {
+			if row[i] == row[i-1] {
+				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", u, row[i])
+			}
 		}
 	}
-	return b.Build(), nil
+	return &Graph{n: n, m: len(edges), off: off, adj: adj}, nil
 }
 
 // MustFromEdges is FromEdges that panics on error; intended for tests and
@@ -262,21 +296,27 @@ func (g *Graph) ClosedNeighborhoodSize(v NodeID) int {
 // Subgraph returns the induced subgraph on keep (which must not contain
 // duplicates) and the mapping from new IDs to original IDs.
 func (g *Graph) Subgraph(keep []NodeID) (*Graph, []NodeID) {
-	newID := make(map[NodeID]NodeID, len(keep))
-	orig := make([]NodeID, len(keep))
-	for i, v := range keep {
-		newID[v] = NodeID(i)
-		orig[i] = v
+	newID := make([]int32, g.n) // -1: not kept
+	for v := range newID {
+		newID[v] = -1
 	}
-	b := NewBuilder(len(keep))
+	orig := make([]NodeID, len(keep))
+	deg := 0
+	for i, v := range keep {
+		newID[v] = int32(i)
+		orig[i] = v
+		deg += g.Degree(v)
+	}
+	// Both endpoints of an induced edge count it in deg.
+	edges := make([]Edge, 0, deg/2)
 	for i, v := range keep {
 		for _, w := range g.Neighbors(v) {
-			if j, ok := newID[w]; ok && NodeID(i) < j {
-				b.TryAddEdge(NodeID(i), j)
+			if j := newID[w]; j > int32(i) {
+				edges = append(edges, Edge{NodeID(i), NodeID(j)})
 			}
 		}
 	}
-	return b.Build(), orig
+	return MustFromEdges(len(keep), edges), orig
 }
 
 // RemoveNodes returns a copy of g with the given nodes (and incident edges)

@@ -245,6 +245,59 @@ func TestSubgraphAndRemoveNodes(t *testing.T) {
 	if !reflect.DeepEqual(orig2, []NodeID{1, 3, 4}) {
 		t.Errorf("RemoveNodes mapping = %v", orig2)
 	}
+
+	// A shuffled keep renumbers out of ID order, so rows arrive unsorted;
+	// an empty keep gives the empty graph. Both must match the map-backed
+	// reference.
+	big := Gnp(60, 0.2, 3)
+	shuffled := make([]NodeID, 0, 40)
+	for _, v := range rand.New(rand.NewSource(9)).Perm(60)[:40] {
+		shuffled = append(shuffled, NodeID(v))
+	}
+	for _, keep := range [][]NodeID{shuffled, {}} {
+		sub, orig := big.Subgraph(keep)
+		refSub, refOrig := refSubgraph(big, keep)
+		sameGraph(t, sub, refSub)
+		if !reflect.DeepEqual(orig, refOrig) {
+			t.Errorf("keep %v: mapping %v, reference %v", keep, orig, refOrig)
+		}
+	}
+}
+
+func TestFromEdgesErrors(t *testing.T) {
+	cases := []struct {
+		name  string
+		n     int
+		edges []Edge
+		want  string
+	}{
+		{"negative n", -1, nil, "graph: negative node count -1"},
+		{"input order", 4, []Edge{{2, 3}, {3, 2}, {1, 1}}, "graph: self-loop at node 1"},
+		{"smallest duplicate", 5, []Edge{{3, 4}, {4, 3}, {2, 0}, {0, 2}}, "graph: duplicate edge (0,2)"},
+	}
+	for _, tc := range cases {
+		if _, err := FromEdges(tc.n, tc.edges); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// FromEdges allocates the offsets, the adjacency and the graph, never
+// anything per edge or per row.
+func TestFromEdgesConstantAllocs(t *testing.T) {
+	allocs := func(m int) float64 {
+		n := m / 5
+		edges := make([]Edge, 0, m)
+		for u := 0; len(edges) < m; u++ {
+			for d := 1; d <= 5 && len(edges) < m; d++ {
+				edges = append(edges, Edge{NodeID(u), NodeID((u + d) % n)})
+			}
+		}
+		return testing.AllocsPerRun(5, func() { MustFromEdges(n, edges) })
+	}
+	if small, big := allocs(1000), allocs(100000); small != big {
+		t.Errorf("FromEdges allocates %v objects at m = 1 000 but %v at m = 100 000", small, big)
+	}
 }
 
 func TestIORoundTrip(t *testing.T) {

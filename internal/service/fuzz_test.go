@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -169,4 +171,60 @@ func FuzzSessionDeltaDecode(f *testing.F) {
 				rec.Code, body, before, after)
 		}
 	})
+}
+
+// FuzzEdgeList checks EdgeList's one-pass decoder against encoding/json
+// into [][2]int on arbitrary bytes: it never panics; whatever it accepts,
+// encoding/json accepts with identical pairs; and a JSON array whose
+// every element is exactly two in-range integers is accepted by both.
+func FuzzEdgeList(f *testing.F) {
+	for _, s := range []string{
+		`[[2]]`, `[[0,1,2]]`, `[[null,1]]`, `[[0,1],[1]]`, `[[2],[1,2]]`,
+		`[[0,1],[1,2]]`, " [ [ 0 , 1 ] ,\n\t[1,2]\r] ", `[[0,1] , [1 ,2 ]]`,
+		`[[-0,1]]`, `[[1e2,1]]`, `[[1.0,1]]`,
+		`[[9223372036854775807,0]]`, `[[9223372036854775808,0]]`, `[[-9223372036854775808,0]]`,
+		`[[-9223372036854775809,0]]`, `[[92233720368547758100,0]]`,
+		`null`, ` null `, `[]`, `[ ]`, `[[0,1],]`, `[[01,2]]`, `[["0",1]]`, `[[0,1]]x`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got EdgeList
+		err := got.UnmarshalJSON(data)
+		var want [][2]int
+		refErr := json.Unmarshal(data, &want)
+		if err == nil {
+			if refErr != nil {
+				t.Fatalf("%q: accepted, but encoding/json rejects it: %v", data, refErr)
+			}
+			if !reflect.DeepEqual([][2]int(got), want) {
+				t.Fatalf("%q: decoded %v, encoding/json %v", data, got, want)
+			}
+		}
+		if intPairArray(data) && (err != nil || refErr != nil) {
+			t.Fatalf("%q: an array of integer pairs was rejected: %v / %v", data, err, refErr)
+		}
+	})
+}
+
+// intPairArray reports whether data is a JSON array (not null) whose
+// every element is an array of exactly two integer literals that fit in
+// an int.
+func intPairArray(data []byte) bool {
+	var outer []json.RawMessage
+	if json.Unmarshal(data, &outer) != nil || outer == nil {
+		return false
+	}
+	for _, el := range outer {
+		var pair []json.RawMessage
+		if json.Unmarshal(el, &pair) != nil || len(pair) != 2 {
+			return false
+		}
+		for _, x := range pair {
+			if _, err := strconv.ParseInt(string(bytes.TrimSpace(x)), 10, strconv.IntSize); err != nil {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -22,7 +22,7 @@ import (
 // GraphSpec is an explicit graph in a request body.
 type GraphSpec struct {
 	N     int      `json:"n"`
-	Edges [][2]int `json:"edges"`
+	Edges EdgeList `json:"edges"`
 }
 
 // FamilySpec asks the server to generate a graph from a named family

@@ -137,6 +137,40 @@ func TestSolveBadRequests(t *testing.T) {
 	}
 }
 
+// Every edge pair is exactly two integers: a short, long or null pair is a
+// 400 naming the pair on each endpoint that takes a posted graph, and a
+// batch carrying one is rejected whole.
+func TestMalformedEdgePairsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cases := []struct {
+		edges string
+		pair  int
+	}{
+		{`[[2]]`, 0},
+		{`[[0,1,2]]`, 0},
+		{`[[null,1]]`, 0},
+		{`[[0,1],[1]]`, 1},
+		{`[[2],[1,2]]`, 0},
+	}
+	for _, tc := range cases {
+		graph := `{"n":3,"edges":` + tc.edges + `}`
+		for _, ep := range []struct{ path, body string }{
+			{"/v1/solve", `{"graph":` + graph + `,"k":1}`},
+			{"/v1/session", `{"graph":` + graph + `,"k":1}`},
+			{"/v1/verify", `{"graph":` + graph + `,"k":1,"members":[0,1,2]}`},
+			{"/v1/solvebatch", `{"requests":[` + gnpSolveBody + `,{"graph":` + graph + `,"k":1}]}`},
+		} {
+			resp, body := postJSON(t, ts.URL+ep.path, ep.body)
+			want := fmt.Sprintf("pair %d", tc.pair)
+			if resp.StatusCode != http.StatusBadRequest ||
+				!strings.Contains(string(body), "malformed JSON") || !strings.Contains(string(body), want) {
+				t.Errorf("%s with edges %s: status %d, body %s; want 400 malformed JSON naming %q",
+					ep.path, tc.edges, resp.StatusCode, body, want)
+			}
+		}
+	}
+}
+
 func TestSolveOversizedPayload(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 256})
 	big := fmt.Sprintf(`{"graph":{"n":4,"edges":[[0,1]]},"k":1,"t":3,"seed":%s1}`,
