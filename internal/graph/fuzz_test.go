@@ -115,6 +115,13 @@ func FuzzFromEdges(f *testing.F) {
 	f.Add([]byte{0})                         // n = 0
 	f.Add([]byte{0, 0, 1})                   // n = 0 with an edge
 	f.Add([]byte{6, 5, 0, 4, 1, 3, 2, 0, 5}) // valid, then a duplicate
+	// Canonical order (U < V, strictly ascending) takes the scatter-only
+	// path; each near miss must fall back to the transpose.
+	f.Add([]byte{5, 0, 1, 0, 3, 1, 2, 2, 4, 3, 4}) // canonical
+	f.Add([]byte{5, 0, 1, 0, 3, 0, 3, 2, 4})       // canonical but for a repeat
+	f.Add([]byte{5, 0, 3, 0, 1, 2, 4})             // V out of order in a row
+	f.Add([]byte{5, 1, 2, 0, 4})                   // U out of order
+	f.Add([]byte{5, 0, 1, 2, 1, 3, 4})             // one edge with U > V
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 || len(in) > 1<<12 {
 			return

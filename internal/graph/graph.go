@@ -11,7 +11,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -173,7 +172,7 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 // subsequent Builds reflect later additions.
 func (b *Builder) Build() *Graph {
 	// The map's iteration order does not reach the graph: FromEdges
-	// sorts every row.
+	// orders every row.
 	edges := make([]Edge, len(b.edges))
 	i := 0
 	for e := range b.edges {
@@ -183,51 +182,21 @@ func (b *Builder) Build() *Graph {
 	return MustFromEdges(b.n, edges)
 }
 
-// fromCanonicalEdges builds a Graph directly from an edge list that is
-// already in canonical form: every edge has U < V, edges are in strictly
-// ascending (U, V) order, and all endpoints lie in [0, n). Generators that
-// enumerate the upper triangle in order (Gnp's geometric skip) use it to
-// build the CSR in O(n + m) with no map, no dedup pass and no sort: for
-// each node the neighbors smaller than it arrive while the outer edge
-// cursor passes their rows (ascending U) and the neighbors larger than it
-// arrive during its own row (ascending V), so every adjacency list comes
-// out sorted by construction. The contract is unchecked beyond a cheap
-// order assertion; callers inside this package must uphold it.
-func fromCanonicalEdges(n int, edges []Edge) *Graph {
-	deg := make([]int32, n)
-	prev := Edge{-1, -1}
-	for _, e := range edges {
-		if e.U >= e.V || e.U < 0 || int(e.V) >= n ||
-			(e.U == prev.U && e.V <= prev.V) || e.U < prev.U {
-			panic(fmt.Sprintf("graph: non-canonical edge %v after %v", e, prev))
-		}
-		prev = e
-		deg[e.U]++
-		deg[e.V]++
-	}
-	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + deg[v]
-	}
-	adj := make([]NodeID, off[n])
-	fill := make([]int32, n)
-	for _, e := range edges {
-		adj[off[e.U]+fill[e.U]] = e.V
-		fill[e.U]++
-		adj[off[e.V]+fill[e.V]] = e.U
-		fill[e.V]++
-	}
-	return &Graph{n: n, m: len(edges), off: off, adj: adj}
-}
-
 // FromEdges builds a graph with n nodes from an edge list, in either
 // orientation and any order. It returns an error for a negative n, for
 // the first self-loop or out-of-range edge in input order, and otherwise
 // for a duplicate edge, naming the smallest duplicated (u, v) with u < v.
 //
-// The CSR is built directly in O(n + m log Δ) with a constant number of
-// allocations: a degree count, a fill, then one sort per row, after which
-// a duplicate is two adjacent equal entries.
+// The CSR is built in O(n + m) with a constant number of allocations and
+// no sort. Every arc is first scattered into its row in input order. The
+// rows are then transposed: visiting the rows w in ascending order and
+// appending w to the row of each entry. The graph is symmetric, so the
+// transpose has the same rows, each now ascending, and a duplicate is two
+// adjacent equal entries. Canonical input (every U < V, in strictly
+// ascending (U, V) order, as Edges and Gnp emit it) scatters straight
+// into ascending rows: a row receives its smaller neighbours while the
+// edge cursor passes their rows and its larger ones during its own row.
+// The transpose is then skipped.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)
@@ -237,6 +206,8 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	}
 	// off[v+1] counts v's degree, then becomes a prefix sum.
 	off := make([]int32, n+1)
+	canonical := true
+	prev := Edge{-1, -1}
 	for _, e := range edges {
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self-loop at node %d", e.U)
@@ -246,13 +217,17 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 		}
 		off[e.U+1]++
 		off[e.V+1]++
+		if e.U > e.V || e.U < prev.U || e.U == prev.U && e.V <= prev.V {
+			canonical = false
+		}
+		prev = e
 	}
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
-	// Fill each row from its start, advancing off[v] as the row's cursor;
-	// once full, off[v] is the end of row v, so a shift by one slot
-	// restores the offsets.
+	// Scatter each row from its start, advancing off[v] as the row's
+	// cursor; once full, off[v] is the end of row v, so a shift by one
+	// slot restores the offsets.
 	adj := make([]NodeID, off[n])
 	for _, e := range edges {
 		adj[off[e.U]] = e.V
@@ -262,19 +237,30 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
+	if canonical {
+		return &Graph{n: n, m: len(edges), off: off, adj: adj}, nil
+	}
+	sorted := make([]NodeID, len(adj))
+	next := make([]int32, n)
+	copy(next, off[:n])
+	for w := 0; w < n; w++ {
+		for _, x := range adj[off[w]:off[w+1]] {
+			sorted[next[x]] = NodeID(w)
+			next[x]++
+		}
+	}
 	// Rows are scanned in ascending order, so the first duplicate found
 	// is the smallest: a duplicated (u, v) with u < v shows up in row u
 	// before it shows up in row v.
 	for u := 0; u < n; u++ {
-		row := adj[off[u]:off[u+1]]
-		slices.Sort(row)
+		row := sorted[off[u]:off[u+1]]
 		for i := 1; i < len(row); i++ {
 			if row[i] == row[i-1] {
 				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", u, row[i])
 			}
 		}
 	}
-	return &Graph{n: n, m: len(edges), off: off, adj: adj}, nil
+	return &Graph{n: n, m: len(edges), off: off, adj: sorted}, nil
 }
 
 // MustFromEdges is FromEdges that panics on error; intended for tests and

@@ -282,8 +282,9 @@ func TestFromEdgesErrors(t *testing.T) {
 	}
 }
 
-// FromEdges allocates the offsets, the adjacency and the graph, never
-// anything per edge or per row.
+// FromEdges allocates the offsets, the adjacency and the graph (plus,
+// off canonical input, the transposed adjacency and its row cursors),
+// never anything per edge or per row.
 func TestFromEdgesConstantAllocs(t *testing.T) {
 	allocs := func(m int) float64 {
 		n := m / 5
@@ -297,6 +298,39 @@ func TestFromEdgesConstantAllocs(t *testing.T) {
 	}
 	if small, big := allocs(1000), allocs(100000); small != big {
 		t.Errorf("FromEdges allocates %v objects at m = 1 000 but %v at m = 100 000", small, big)
+	}
+}
+
+// BenchmarkFromEdges builds the CSR of a G(n, p) instance from its
+// canonical edge list (the order Edges and Gnp emit) and from the same
+// graph relabeled by a random permutation and shuffled, the order posted
+// instances arrive in.
+func BenchmarkFromEdges(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		n       int
+		degree  float64
+		relabel bool
+	}{
+		{"canonical/n=5000/d=10", 5000, 10, false},
+		{"relabeled/n=5000/d=10", 5000, 10, true},
+		{"relabeled/n=2000/d=40", 2000, 40, true},
+	} {
+		edges := GnpAvgDegree(bc.n, bc.degree, 1).EdgeList()
+		if bc.relabel {
+			r := rand.New(rand.NewSource(2))
+			perm := r.Perm(bc.n)
+			for i, e := range edges {
+				edges[i] = Edge{NodeID(perm[e.U]), NodeID(perm[e.V])}
+			}
+			r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MustFromEdges(bc.n, edges)
+			}
+		})
 	}
 }
 

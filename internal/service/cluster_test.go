@@ -290,7 +290,7 @@ func TestClusterLoopGuard(t *testing.T) {
 		if !jsonDecode(b, &req) {
 			t.Fatal("bad test body")
 		}
-		_, key, _, err := n1.srv.prepareSolve(&req)
+		_, key, _, err := n1.srv.prepareSolve(context.Background(), &req, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

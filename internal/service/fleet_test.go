@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -70,7 +71,7 @@ func nonOwnedSolveBody(t *testing.T, n *clusterNode) string {
 		if !jsonDecode(b, &req) {
 			t.Fatal("bad test body")
 		}
-		_, key, _, err := n.srv.prepareSolve(&req)
+		_, key, _, err := n.srv.prepareSolve(context.Background(), &req, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

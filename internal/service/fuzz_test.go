@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -227,4 +228,121 @@ func intPairArray(data []byte) bool {
 		}
 	}
 	return true
+}
+
+// parentSolveRequest and parentGraphSpec copy the solve body's structs,
+// tags and EdgeList edges included, without SolveRequest's and
+// GraphSpec's UnmarshalJSON methods: decodeStrict reads them with plain
+// encoding/json, the decoder the one-walk UnmarshalJSON replaced.
+type (
+	parentSolveRequest struct {
+		Graph  *parentGraphSpec `json:"graph,omitempty"`
+		Family *FamilySpec      `json:"family,omitempty"`
+		K      int              `json:"k"`
+		T      int              `json:"t,omitempty"`
+		Seed   int64            `json:"seed,omitempty"`
+		Local  bool             `json:"local_delta,omitempty"`
+	}
+	parentGraphSpec struct {
+		N     int      `json:"n"`
+		Edges EdgeList `json:"edges"`
+	}
+)
+
+// FuzzSolveRequest checks SolveRequest.UnmarshalJSON against decodeStrict
+// into parentSolveRequest on arbitrary bytes: it never panics, and when
+// every key in the body is exact-case and unique (the two leniencies of
+// encoding/json it drops), either both accept with identical fields or
+// both reject.
+func FuzzSolveRequest(f *testing.F) {
+	for _, s := range []string{
+		`{"graph":{"n":3,"edges":[[0,1],[1,2]]},"k":1}`,
+		`{"family":{"name":"gnp","n":20,"degree":4.5,"seed":-7},"k":2,"t":4,"seed":9,"local_delta":true}`,
+		` { "graph" : { "edges" : [ [ 2 , 0 ] ] , "n" : 3 } , "k" : 2 } `,
+		`{"graph":null,"family":null,"k":null,"t":null,"seed":null,"local_delta":null}`,
+		`{"graph":{"n":null,"edges":null}}`, `{"graph":{"edges":[]}}`, `{"graph":{}}`, `{}`,
+		`null`, ` null `, `nul`, `[]`, `"k"`, `1`, ``, `{`, `{"k":1}x`, `{"k":1} {}`,
+		`{"k":1,}`, `{,"k":1}`, `{"k" 1}`, `{"k":1 "t":2}`, `{"k":01}`, `{"k":1.0}`, `{"k":1e0}`,
+		`{"k":-0}`, `{"k":"1"}`, `{"k":true}`, `{"k":9223372036854775807}`, `{"k":9223372036854775808}`,
+		`{"seed":-9223372036854775808}`, `{"seed":-9223372036854775809}`,
+		`{"k":2}`, `{"graph":{"n":1}}`, `{"k\"":1}`, `{"\k":1}`, "{\"k\x01\":1}",
+		`{"K":2}`, `{"k":1,"k":2}`, `{"graph":{"n":1},"graph":{"n":2}}`, `{"family":{"Name":"gnp"}}`,
+		`{"family":{"name":"a\"b\\c","degree":[1,{"x":"]"}]}}`, `{"family":{"name":"gnp","degree":1e400}}`,
+		`{"graph":{"n":3,"edges":[[0,1],[1]]}}`, `{"local_delta":"true"}`, `{"edges":[]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got SolveRequest
+		err := got.UnmarshalJSON(data)
+		if !exactUniqueKeys(data) {
+			return
+		}
+		var ref parentSolveRequest
+		refErr := decodeStrict(bytes.NewReader(data), &ref)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("%q: err %v, encoding/json err %v", data, err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		want := SolveRequest{Family: ref.Family, K: ref.K, T: ref.T, Seed: ref.Seed, Local: ref.Local}
+		if ref.Graph != nil {
+			want.Graph = &GraphSpec{N: ref.Graph.N, Edges: ref.Graph.Edges}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: decoded %+v, encoding/json %+v", data, got, want)
+		}
+	})
+}
+
+// exactUniqueKeys reads data's token stream up to its end or first error
+// and reports whether every object key, once unescaped, is unique within
+// its object and is either a solve-body field name or no case-folded
+// match of one (encoding/json reads a case-folded key as the field).
+func exactUniqueKeys(data []byte) bool {
+	names := append(append(append([]string(nil), solveKeys...), graphKeys...), familyKeys...)
+	type frame struct {
+		keys map[string]bool // nil for an array
+		key  bool            // the object's next token is a key
+	}
+	var stack []*frame
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return true
+		}
+		if len(stack) > 0 {
+			if top := stack[len(stack)-1]; top.key {
+				if key, ok := tok.(string); ok {
+					if top.keys[key] {
+						return false
+					}
+					top.keys[key] = true
+					for _, name := range names {
+						if key != name && strings.EqualFold(key, name) {
+							return false
+						}
+					}
+					top.key = false
+					continue
+				}
+			}
+		}
+		switch tok {
+		case json.Delim('{'):
+			stack = append(stack, &frame{keys: map[string]bool{}, key: true})
+			continue
+		case json.Delim('['):
+			stack = append(stack, &frame{})
+			continue
+		case json.Delim('}'), json.Delim(']'):
+			stack = stack[:len(stack)-1]
+		}
+		// A value is complete: its object's next token is a key.
+		if len(stack) > 0 && stack[len(stack)-1].keys != nil {
+			stack[len(stack)-1].key = true
+		}
+	}
 }

@@ -224,15 +224,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // decodeJSON reads a size-capped, strictly-validated JSON body into dst.
 // It writes the error response itself and reports success.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := decodeStrict(r.Body, dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("body exceeds %d bytes", tooBig.Limit))
-		} else {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("malformed JSON: %v", err))
-		}
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return false
+	}
+	defer releaseBody(body)
+	if err := decodeStrict(bytes.NewReader(body.Bytes()), dst); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed JSON: %v", err))
 		return false
 	}
 	return true
@@ -258,13 +256,22 @@ func decodeStrict(r io.Reader, dst any) error {
 	}
 }
 
-// readBody drains a size-capped request body into memory — the routing
-// layer needs the raw bytes to proxy a non-owned key verbatim. Status
-// and error shape match decodeJSON's.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// maxPooledBody caps the capacity of a body buffer kept for reuse, so one
+// large body does not stay resident after its request.
+const maxPooledBody = 1 << 20
+
+// bodyPool holds request-body buffers for readBody.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody drains a size-capped request body into a buffer from
+// bodyPool, writing the error response itself (413 past the cap, 400 on
+// a read error). The caller owns the buffer and hands it back with
+// releaseBody once nothing reads it any more.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	b, err := io.ReadAll(r.Body)
-	if err != nil {
+	body := bodyPool.Get().(*bytes.Buffer)
+	if _, err := body.ReadFrom(r.Body); err != nil {
+		releaseBody(body)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -274,17 +281,40 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		}
 		return nil, false
 	}
-	return b, true
+	return body, true
 }
 
-// decodeBody strictly decodes an already-read body, mirroring
-// decodeJSON's 400 shape.
-func decodeBody(w http.ResponseWriter, body []byte, dst any) bool {
-	if err := decodeStrict(bytes.NewReader(body), dst); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed JSON: %v", err))
-		return false
+// releaseBody returns a body buffer to bodyPool unless it is nil or has
+// grown past maxPooledBody. A buffer handed to proxyPost must never come
+// back: its transport may still be writing it.
+func releaseBody(body *bytes.Buffer) {
+	if body == nil || body.Cap() > maxPooledBody {
+		return
 	}
-	return true
+	body.Reset()
+	bodyPool.Put(body)
+}
+
+// readSolve reads a solve body and decodes it into req, recording the
+// read and decode stages as spans of the request trace. It writes the
+// error response itself; on success the caller owns the body buffer.
+func (s *Server) readSolve(w http.ResponseWriter, r *http.Request, req *SolveRequest) (*bytes.Buffer, bool) {
+	tr := obs.TraceFrom(r.Context())
+	sp := tr.StartSpan(nil, "read")
+	body, ok := s.readBody(w, r)
+	sp.End()
+	if !ok {
+		return nil, false
+	}
+	sp = tr.StartSpan(nil, "decode")
+	err := req.UnmarshalJSON(body.Bytes())
+	sp.End()
+	if err != nil {
+		releaseBody(body)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed JSON: %v", err))
+		return nil, false
+	}
+	return body, true
 }
 
 // buildGraph materializes the instance a request describes.
@@ -323,13 +353,20 @@ const (
 // prepareSolve validates a request, fills its defaults, materializes
 // the instance and computes the cache/routing key — the part of a solve
 // every node does locally even for keys it forwards, because the key is
-// the canonical graph hash plus the solver parameters.
-func (s *Server) prepareSolve(req *SolveRequest) (*graph.Graph, string, int, error) {
+// the canonical graph hash plus the solver parameters. The build and
+// hash stages are spans under parent in ctx's trace.
+func (s *Server) prepareSolve(ctx context.Context, req *SolveRequest, parent *obs.Span) (*graph.Graph, string, int, error) {
+	tr := obs.TraceFrom(ctx)
+	sp := tr.StartSpan(parent, "build")
 	g, err := s.buildGraph(req.Graph, req.Family)
+	sp.End()
 	if err != nil {
 		return nil, "", http.StatusBadRequest, err
 	}
-	return s.prepareSolveWith(req, g, g.CanonicalHash())
+	sp = tr.StartSpan(parent, "hash")
+	hash := g.CanonicalHash()
+	sp.End()
+	return s.prepareSolveWith(req, g, hash)
 }
 
 // prepareSolveWith is prepareSolve for an already-materialized instance
@@ -355,7 +392,7 @@ func (s *Server) prepareSolveWith(req *SolveRequest, g *graph.Graph, hash string
 // inside the request trace (nil = under the root; batch items pass
 // their per-item span).
 func (s *Server) solve(ctx context.Context, req *SolveRequest, parent *obs.Span) (*SolveResponse, *graph.Graph, string, int, error) {
-	g, key, status, err := s.prepareSolve(req)
+	g, key, status, err := s.prepareSolve(ctx, req, parent)
 	if err != nil {
 		return nil, nil, "", status, err
 	}
@@ -521,15 +558,15 @@ func (s *Server) leadSolve(ctx context.Context, req *SolveRequest, g *graph.Grap
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
+	var req SolveRequest
+	body, ok := s.readSolve(w, r, &req)
 	if !ok {
 		return
 	}
-	var req SolveRequest
-	if !decodeBody(w, body, &req) {
-		return
-	}
-	g, key, status, err := s.prepareSolve(&req)
+	// A forward hands the body to proxyPost and sets body to nil, so
+	// the buffer never returns to the pool.
+	defer func() { releaseBody(body) }()
+	g, key, status, err := s.prepareSolve(r.Context(), &req, nil)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -539,7 +576,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// suspect owner or a failed forward degrades to a local solve.
 	if s.shouldRoute(r.Header) {
 		if owner, local := s.cluster.Route(key); !local {
-			if s.forwardSolve(w, r, owner, body) {
+			raw := body.Bytes()
+			body = nil
+			if s.forwardSolve(w, r, owner, raw) {
 				return
 			}
 		}
@@ -669,7 +708,7 @@ func (s *Server) solveBatchItem(ctx context.Context, req *SolveRequest, routable
 		}
 	}
 	if g == nil && err == nil {
-		g, key, status, err = s.prepareSolve(req)
+		g, key, status, err = s.prepareSolve(ctx, req, sp)
 	}
 	if err != nil {
 		return BatchSolveItem{Error: err.Error(), Status: status}
@@ -745,9 +784,11 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	if !s.decodeJSON(w, r, &req) {
+	body, ok := s.readSolve(w, r, &req)
+	if !ok {
 		return
 	}
+	releaseBody(body)
 	resp, g, _, status, err := s.solve(r.Context(), &req, nil)
 	if err != nil {
 		s.writeSolveError(w, status, err)

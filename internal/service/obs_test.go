@@ -152,7 +152,7 @@ func TestRequestIDResolvesToTrace(t *testing.T) {
 		}
 	}
 	walk(tj.Root)
-	for _, want := range []string{"cache", "queue-wait", "solve", "fractional", "rounding", "verify", "encode"} {
+	for _, want := range []string{"read", "decode", "build", "hash", "cache", "queue-wait", "solve", "fractional", "rounding", "verify", "encode"} {
 		if _, ok := names[want]; !ok {
 			t.Errorf("span %q missing from trace (have %v)", want, traceBody)
 		}

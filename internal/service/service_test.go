@@ -171,6 +171,56 @@ func TestMalformedEdgePairsRejected(t *testing.T) {
 	}
 }
 
+// A key must match a field's tag exactly and at most once. A case-folded
+// or repeated key anywhere in a solve body is a 400 "malformed JSON" on
+// /v1/solve and /v1/session and rejects a whole batch; in /v1/verify's
+// graph the graph-level ones are a 400 too. An escaped key still matches
+// once unescaped, and a null batch item is still the zero request.
+func TestStrictKeysRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const graph = `{"n":3,"edges":[[0,1],[1,2]]}`
+	bodies := []string{
+		`{"K":2,"graph":` + graph + `}`,
+		`{"k":1,"k":2,"graph":` + graph + `}`,
+		`{"graph":{"n":3,"n":3,"edges":[[0,1],[1,2]]},"k":1}`,
+		`{"graph":{"n":3},"graph":{"edges":[[0,1],[1,2]]},"k":1}`,
+		`{"family":{"Name":"gnp","n":20,"degree":4,"seed":7},"k":2}`,
+	}
+	graphLevel := []string{
+		`{"n":3,"n":3,"edges":[[0,1],[1,2]]}`,
+		`{"n":3,"Edges":[[0,1],[1,2]]}`,
+	}
+	var posts []struct{ path, body string }
+	for _, b := range bodies {
+		posts = append(posts,
+			struct{ path, body string }{"/v1/solve", b},
+			struct{ path, body string }{"/v1/session", b},
+			struct{ path, body string }{"/v1/solvebatch", `{"requests":[` + gnpSolveBody + `,` + b + `]}`})
+	}
+	for _, g := range graphLevel {
+		posts = append(posts, struct{ path, body string }{"/v1/verify", `{"graph":` + g + `,"k":1,"members":[0,1,2]}`})
+	}
+	for _, p := range posts {
+		resp, body := postJSON(t, ts.URL+p.path, p.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "malformed JSON") {
+			t.Errorf("%s %s: status %d, body %s; want 400 malformed JSON", p.path, p.body, resp.StatusCode, body)
+		}
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/solve", `{"\u006b":2,"graph":`+graph+`}`)
+	var sol SolutionJSON
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &sol) != nil || sol.K != 2 {
+		t.Errorf("escaped k: status %d, body %s; want 200 with k = 2", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/solvebatch", `{"requests":[null]}`)
+	var br BatchSolveResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &br) != nil || len(br.Results) != 1 ||
+		br.Results[0].Status != http.StatusBadRequest || br.Results[0].Error != "need a graph or a family" {
+		t.Errorf("null batch item: status %d, body %s; want one item with 400 %q",
+			resp.StatusCode, body, "need a graph or a family")
+	}
+}
+
 func TestSolveOversizedPayload(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 256})
 	big := fmt.Sprintf(`{"graph":{"n":4,"edges":[[0,1]]},"k":1,"t":3,"seed":%s1}`,
