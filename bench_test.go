@@ -153,7 +153,7 @@ func BenchmarkPublicAPISolve(b *testing.B) {
 // per cold query through the public API: generate the instance, hash it
 // for the cache key, solve. The scratch variant reuses one arena across
 // iterations — the allocs/op gap against fresh is the pooled-scratch
-// payoff. CI smokes these with -bench=Pipeline -benchtime=1x.
+// payoff. CI's benchmark smoke (-bench . -benchtime=1x) runs them.
 func BenchmarkPipeline(b *testing.B) {
 	const n, d, k = 2000, 8, 2
 	run := func(b *testing.B, opts ...Option) {

@@ -20,8 +20,9 @@ import (
 	"ftclust/internal/rng"
 )
 
-// benchReport is the top-level BENCH_core.json document.
-type benchReport struct {
+// reportHeader is the environment header both BENCH reports open with.
+// Embedded, its fields marshal first and inline, in this order.
+type reportHeader struct {
 	Schema      string `json:"schema"`
 	GeneratedAt string `json:"generated_at"`
 	GoVersion   string `json:"go_version"`
@@ -36,9 +37,29 @@ type benchReport struct {
 	// (rng.StreamGenerator): every coin and permutation of the rounding
 	// phase comes from it, so |S| for equal seeds is comparable only
 	// across equal generator versions.
-	RngGenerator string        `json:"rng_generator"`
-	Scale        float64       `json:"scale"`
-	Benchmarks   []benchRecord `json:"benchmarks"`
+	RngGenerator string  `json:"rng_generator"`
+	Scale        float64 `json:"scale"`
+}
+
+// newReportHeader stamps a report header with this process's
+// environment.
+func newReportHeader(schema string, scale float64) reportHeader {
+	return reportHeader{
+		Schema:       schema,
+		GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
+		GoVersion:    runtime.Version(),
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		NumCPU:       runtime.NumCPU(),
+		GnpGenerator: graph.GnpGenerator,
+		RngGenerator: rng.StreamGenerator,
+		Scale:        scale,
+	}
+}
+
+// benchReport is the top-level BENCH_core.json document.
+type benchReport struct {
+	reportHeader
+	Benchmarks []benchRecord `json:"benchmarks"`
 }
 
 // benchRecord is one measured configuration.
@@ -94,16 +115,7 @@ func runBenchJSON(path string, scale float64) error {
 	}
 	workerCounts := []int{1, par}
 
-	rep := benchReport{
-		Schema:       "ftclust-bench-core/v2",
-		GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:    runtime.Version(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
-		GnpGenerator: graph.GnpGenerator,
-		RngGenerator: rng.StreamGenerator,
-		Scale:        scale,
-	}
+	rep := benchReport{reportHeader: newReportHeader("ftclust-bench-core/v2", scale)}
 
 	// measure runs one configuration under testing.Benchmark, appends the
 	// record and returns its ns/op so callers can compute speedup ratios.

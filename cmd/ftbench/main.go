@@ -10,19 +10,12 @@
 //	                        # instead: benchmark the core engines
 //	                        # (sequential vs worker pool) and write the
 //	                        # machine-readable performance report
-//	ftbench -pipeline-json BENCH_pipeline.json
-//	                        # instead: benchmark the request→solution
-//	                        # pipeline (generate, hash, solve with and
-//	                        # without scratch, HTTP service QPS, observer
-//	                        # overhead, sustained-load quantiles)
-//	ftbench -load-json BENCH_pipeline.json -load-seconds 10
-//	                        # instead: only the sustained-load window —
-//	                        # hold concurrent solve traffic against an
-//	                        # in-process service, scrape its /metrics
-//	                        # histograms and merge p50/p99 into the
-//	                        # pipeline report's "load" section
-//	ftbench -trace          # instead: one instrumented solve, printed as
-//	                        # a per-phase span breakdown
+//	ftbench -repair-json BENCH_repair.json
+//	                        # instead: benchmark incremental repair
+//	                        # against a full re-solve
+//
+// The serving path is benchmarked by cmd/ftperf; one solve's per-phase
+// breakdown is printed by `kmds -trace`.
 package main
 
 import (
@@ -33,10 +26,7 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"ftclust"
 	"ftclust/internal/exp"
-	"ftclust/internal/graph"
-	"ftclust/internal/trace"
 )
 
 func main() {
@@ -48,19 +38,15 @@ func main() {
 
 func run() error {
 	var (
-		id           = flag.String("exp", "", "experiment id (E1…E11, A1…A3); empty = all")
-		seed         = flag.Int64("seed", 1, "root seed")
-		trials       = flag.Int("trials", 5, "trials per table row")
-		scale        = flag.Float64("scale", 1.0, "instance-size scale in (0,1]")
-		csv          = flag.Bool("csv", false, "also write CSV files")
-		outDir       = flag.String("o", ".", "directory for CSV output")
-		benchJSON    = flag.String("bench-json", "", "benchmark the core engines and write this JSON report instead of running experiments")
-		pipelineJSON = flag.String("pipeline-json", "", "benchmark the request→solution pipeline and write this JSON report instead of running experiments")
-		repairJSON   = flag.String("repair-json", "", "benchmark incremental repair vs full re-solve and write this JSON report instead of running experiments")
-		loadJSON     = flag.String("load-json", "", "run only the sustained-load window and merge its record into this pipeline JSON report")
-		loadSeconds  = flag.Float64("load-seconds", 5, "wall-clock duration of the sustained-load window")
-		doTrace      = flag.Bool("trace", false, "run one instrumented solve and print its per-phase span breakdown instead of experiments")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the selected mode to this file (inspect with go tool pprof)")
+		id         = flag.String("exp", "", "experiment id (E1…E11, A1…A3); empty = all")
+		seed       = flag.Int64("seed", 1, "root seed")
+		trials     = flag.Int("trials", 5, "trials per table row")
+		scale      = flag.Float64("scale", 1.0, "instance-size scale in (0,1]")
+		csv        = flag.Bool("csv", false, "also write CSV files")
+		outDir     = flag.String("o", ".", "directory for CSV output")
+		benchJSON  = flag.String("bench-json", "", "benchmark the core engines and write this JSON report instead of running experiments")
+		repairJSON = flag.String("repair-json", "", "benchmark incremental repair vs full re-solve and write this JSON report instead of running experiments")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected mode to this file (inspect with go tool pprof)")
 	)
 	flag.Parse()
 
@@ -76,21 +62,11 @@ func run() error {
 		defer pprof.StopCPUProfile()
 	}
 
-	loadDur := time.Duration(*loadSeconds * float64(time.Second))
 	if *benchJSON != "" {
 		return runBenchJSON(*benchJSON, *scale)
 	}
-	if *pipelineJSON != "" {
-		return runPipelineJSON(*pipelineJSON, *scale, loadDur)
-	}
-	if *loadJSON != "" {
-		return runLoadJSON(*loadJSON, *scale, loadDur)
-	}
 	if *repairJSON != "" {
 		return runRepairJSON(*repairJSON, *scale, *seed)
-	}
-	if *doTrace {
-		return runTrace(*seed, *scale)
 	}
 
 	cfg := exp.Config{Seed: *seed, Trials: *trials, Scale: *scale}
@@ -106,34 +82,6 @@ func run() error {
 	}
 
 	return runSuite(suite, cfg, *csv, *outDir)
-}
-
-// runTrace solves one representative instance with the observer armed and
-// prints the per-phase breakdown — the CLI view of the span tree the
-// service stores at /debug/trace/{id}.
-func runTrace(seed int64, scale float64) error {
-	n := int(2000 * scale)
-	if n < 10 {
-		n = 10
-	}
-	const k, t, deg = 2, 3, 8
-	g := graph.GnpAvgDegree(n, deg, seed)
-	var (
-		phases []ftclust.SolvePhaseInfo
-		stats  ftclust.SolveStats
-	)
-	observer := &ftclust.SolveObserver{
-		OnPhase: func(p ftclust.SolvePhaseInfo) { phases = append(phases, p) },
-		OnDone:  func(s ftclust.SolveStats) { stats = s },
-	}
-	sol, err := ftclust.SolveKMDS(g, k, ftclust.WithT(t), ftclust.WithSeed(seed),
-		ftclust.WithObserver(observer))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("gnp n=%d m=%d k=%d t=%d seed=%d  |S|=%d\n\n",
-		n, g.NumEdges(), k, t, seed, sol.Size())
-	return trace.PhaseTable(phases, stats).WriteText(os.Stdout)
 }
 
 func runSuite(suite []exp.Experiment, cfg exp.Config, csv bool, outDir string) error {

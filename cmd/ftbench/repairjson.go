@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"ftclust"
@@ -31,12 +30,9 @@ import (
 
 // repairReport is the top-level BENCH_repair.json document.
 type repairReport struct {
-	Schema      string        `json:"schema"`
-	GeneratedAt string        `json:"generated_at"`
-	GoVersion   string        `json:"go_version"`
-	Scale       float64       `json:"scale"`
-	Failure     failureSweep  `json:"failure_sweep"`
-	Mobility    mobilitySweep `json:"mobility_sweep"`
+	reportHeader
+	Failure  failureSweep  `json:"failure_sweep"`
+	Mobility mobilitySweep `json:"mobility_sweep"`
 }
 
 // failureSweep batches head failures of growing size on one gnp instance.
@@ -105,12 +101,7 @@ func runRepairJSON(path string, scale float64, seed int64) error {
 		}
 		return n
 	}
-	rep := repairReport{
-		Schema:      "ftclust-bench-repair/v1",
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Scale:       scale,
-	}
+	rep := repairReport{reportHeader: newReportHeader("ftclust-bench-repair/v1", scale)}
 
 	fs, err := runFailureSweep(scaled(20000), seed)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftclust/internal/graph"
+	"ftclust/internal/obs"
 )
 
 func scratchTestGraphs() map[string]*graph.Graph {
@@ -181,13 +182,25 @@ func TestScratchShrinkNoStaleState(t *testing.T) {
 	}
 }
 
+// BenchmarkSolveScratch compares a fresh-allocating solve with a
+// scratch-backed one, and prices the observer: scratch+observer is the
+// scratch solve with no-op OnPhase/OnDone hooks armed, so its gap to
+// scratch is the cost of the phase clocks and alloc counters alone.
 func BenchmarkSolveScratch(b *testing.B) {
 	g := graph.GnpAvgDegree(1000, 12, 3)
-	for _, mode := range []string{"fresh", "scratch"} {
+	var sink int
+	observer := &obs.SolveObserver{
+		OnPhase: func(p obs.PhaseInfo) { sink += p.Rounds },
+		OnDone:  func(s obs.SolveStats) { sink += s.LPRounds },
+	}
+	for _, mode := range []string{"fresh", "scratch", "scratch+observer"} {
 		b.Run(mode, func(b *testing.B) {
 			opts := Options{K: 2, T: 3, Seed: 7}
-			if mode == "scratch" {
+			if mode != "fresh" {
 				opts.Scratch = NewScratch()
+			}
+			if mode == "scratch+observer" {
+				opts.Observer = observer
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ftclust/internal/obs"
 )
 
 // clusterNode is one in-process ftserved instance wired into a test
@@ -144,7 +147,7 @@ func TestClusterExactlyOnceSolves(t *testing.T) {
 
 	var solves int64
 	for _, n := range nodes {
-		solves += n.srv.Metrics().Solves
+		solves += n.srv.metrics.solves.Value()
 	}
 	if solves != keys {
 		t.Fatalf("cluster-wide solves = %d, want exactly %d (each key owned once)", solves, keys)
@@ -168,7 +171,7 @@ func TestClusterExactlyOnceSolves(t *testing.T) {
 	}
 	var after int64
 	for _, n := range nodes {
-		after += n.srv.Metrics().Solves
+		after += n.srv.metrics.solves.Value()
 	}
 	if after != keys {
 		t.Fatalf("replay re-solved keys: solves went %d → %d", keys, after)
@@ -273,6 +276,93 @@ func TestClusterForwardOversizeFallsBack(t *testing.T) {
 	}
 }
 
+// refuseForwards passes gossip through and fails every forwarded solve,
+// as dialing an owner that has just gone down would.
+type refuseForwards struct{ next http.RoundTripper }
+
+func (rt refuseForwards) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/v1/solve" {
+		return nil, errors.New("connection refused")
+	}
+	return rt.next.RoundTrip(r)
+}
+
+// A batch item whose forward fails is solved locally, and the fallback
+// is recorded exactly as /v1/solve records one: once in
+// ftclust_cluster_forward_errors_total and once as a forward-fallback
+// event in /debug/events.
+func TestClusterBatchForwardFallbackRecorded(t *testing.T) {
+	n1 := startClusterNode(t, nil, func(c *Config) {
+		c.Cluster.Client = &http.Client{
+			Transport: refuseForwards{next: http.DefaultTransport},
+			Timeout:   2 * time.Second,
+		}
+	})
+	n2 := startClusterNode(t, []string{n1.addr}, nil)
+	waitPeers(t, []*clusterNode{n1, n2}, 2)
+	item := nonOwnedBody(t, n1, 3000)
+
+	errsBefore := n1.srv.cluster.Metrics().ForwardErrors.Value()
+	resp, b := postJSON(t, n1.ts.URL+"/v1/solvebatch", `{"requests":[`+item+`]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, body %s", resp.StatusCode, b)
+	}
+	var br BatchSolveResponse
+	if err := json.Unmarshal(b, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 1 {
+		t.Fatalf("got %d results, want 1", len(br.Results))
+	}
+	if r := br.Results[0]; r.Status != http.StatusOK || r.Route != "local" || r.Solution == nil || !r.Solution.Verified {
+		t.Fatalf("fallen-back item was not solved locally: %+v", r)
+	}
+	if errs := n1.srv.cluster.Metrics().ForwardErrors.Value(); errs != errsBefore+1 {
+		t.Fatalf("forward_errors went %d → %d, want +1", errsBefore, errs)
+	}
+
+	var events struct {
+		Events []obs.Event `json:"events"`
+	}
+	if st := getJSON(t, n1.ts.URL+"/debug/events", &events); st != http.StatusOK {
+		t.Fatalf("/debug/events: status %d", st)
+	}
+	var fallbacks []obs.Event
+	for _, e := range events.Events {
+		if e.Type == "forward-fallback" {
+			fallbacks = append(fallbacks, e)
+		}
+	}
+	if len(fallbacks) != 1 {
+		t.Fatalf("%d forward-fallback events, want exactly 1: %+v", len(fallbacks), events.Events)
+	}
+	if a := fallbacks[0].Attrs; a["path"] != "/v1/solvebatch" || a["owner"] != n2.addr || a["reason"] != "transport" {
+		t.Fatalf("forward-fallback attrs = %v, want path=/v1/solvebatch owner=%s reason=transport", a, n2.addr)
+	}
+}
+
+// nonOwnedBody returns a solve body, seeded from base upward, whose key
+// n does not own, so n forwards it.
+func nonOwnedBody(t *testing.T, n *clusterNode, base int) string {
+	t.Helper()
+	for seed := base; seed < base+64; seed++ {
+		b := solveBodyForSeed(seed)
+		var req SolveRequest
+		if !jsonDecode(b, &req) {
+			t.Fatal("bad test body")
+		}
+		_, key, _, err := n.srv.prepareSolve(context.Background(), &req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, local := n.srv.cluster.Route(key); !local {
+			return b
+		}
+	}
+	t.Fatal("no non-owned key found in 64 tries (hash degenerate?)")
+	return ""
+}
+
 // The loop guard: a request already carrying the forwarded marker is
 // served locally even by a non-owner, so divergent rings cannot bounce
 // a request between nodes.
@@ -281,26 +371,8 @@ func TestClusterLoopGuard(t *testing.T) {
 	n2 := startClusterNode(t, []string{n1.addr}, nil)
 	waitPeers(t, []*clusterNode{n1, n2}, 2)
 
-	// Find a seed whose key n1 does NOT own (it would forward).
-	var body string
-	found := false
-	for seed := 0; seed < 64 && !found; seed++ {
-		b := solveBodyForSeed(2000 + seed)
-		var req SolveRequest
-		if !jsonDecode(b, &req) {
-			t.Fatal("bad test body")
-		}
-		_, key, _, err := n1.srv.prepareSolve(context.Background(), &req, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, local := n1.srv.cluster.Route(key); !local {
-			body, found = b, true
-		}
-	}
-	if !found {
-		t.Fatal("no non-owned key found in 64 tries (hash degenerate?)")
-	}
+	// A key n1 does NOT own (it would forward).
+	body := nonOwnedBody(t, n1, 2000)
 
 	req, _ := http.NewRequest(http.MethodPost, n1.ts.URL+"/v1/solve", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -382,8 +454,8 @@ func TestRateLimitSheds(t *testing.T) {
 		t.Fatalf("/metrics shed: status %d", mr.StatusCode)
 	}
 
-	if m := s.Metrics(); m.ShedRatelimit < 1 {
-		t.Fatalf("shed_ratelimit = %d, want ≥1", m.ShedRatelimit)
+	if got := s.metrics.shedRate.Value(); got < 1 {
+		t.Fatalf("shed_ratelimit = %d, want ≥1", got)
 	}
 }
 
@@ -404,9 +476,10 @@ func TestQueueOverflowReturns429(t *testing.T) {
 	}
 	// Wait until one solve occupies the worker and one the backlog slot.
 	deadline := time.Now().Add(15 * time.Second)
-	for s.Metrics().InFlight == 0 || s.Metrics().QueueDepth == 0 {
+	for s.metrics.inFlight.Load() == 0 || s.queue.Depth() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue never saturated: %+v", s.Metrics())
+			t.Fatalf("queue never saturated: in_flight=%d queue_depth=%d",
+				s.metrics.inFlight.Load(), s.queue.Depth())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -418,8 +491,8 @@ func TestQueueOverflowReturns429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("overflow 429 missing Retry-After")
 	}
-	if m := s.Metrics(); m.ShedQueue < 1 || m.QueueRejected < 1 {
-		t.Fatalf("shed counters after overflow: %+v", m)
+	if shed, rejected := s.metrics.shedQueue.Value(), s.metrics.queueRejected.Value(); shed < 1 || rejected < 1 {
+		t.Fatalf("shed counters after overflow: shed_queue=%d queue_rejected=%d", shed, rejected)
 	}
 
 	for i := 0; i < 2; i++ {

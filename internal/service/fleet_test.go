@@ -264,8 +264,8 @@ func TestClusterFleetAggregation(t *testing.T) {
 	if degraded.Aggregate.Solves <= 0 {
 		t.Fatal("aggregation lost the surviving peers' counters")
 	}
-	if m := n1.srv.Metrics(); m.FleetScrapeErrs < 1 {
-		t.Fatalf("ftclust_fleet_scrape_errors_total = %d, want ≥1", m.FleetScrapeErrs)
+	if got := n1.srv.metrics.fleetScrapeErrors.Value(); got < 1 {
+		t.Fatalf("ftclust_fleet_scrape_errors_total = %d, want ≥1", got)
 	}
 }
 

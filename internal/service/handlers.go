@@ -727,11 +727,8 @@ func (s *Server) solveBatchItem(ctx context.Context, req *SolveRequest, routable
 				// The owner answered with its own rejection (shedding,
 				// validation): that is the item's authoritative outcome.
 				return BatchSolveItem{Error: err.Error(), Status: fwdStatus, Route: routeForwarded}
-			default:
-				s.cluster.Metrics().ForwardErrors.Inc()
-				s.logger.Warn("cluster forward failed; solving locally",
-					"owner", owner, "path", "/v1/solvebatch", "err", err)
 			}
+			// Status 0: the forward failed and was recorded; solve here.
 		}
 	}
 	resp, cacheStatus, status, err := s.solvePrepared(ctx, req, g, key, sp)

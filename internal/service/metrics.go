@@ -82,7 +82,6 @@ type metrics struct {
 
 	sessionsCreated *obs.Counter
 	repairs         *obs.Counter // accepted session mutation batches
-	assessments     *obs.Counter // damage assessments run (exactly one per accepted batch)
 	fallbacks       *obs.Counter // drift-triggered certified re-solves
 	sessionsExpired *obs.Counter // sessions swept by the idle-TTL janitor
 
@@ -151,7 +150,6 @@ func newMetrics(now time.Time) *metrics {
 
 		sessionsCreated: reg.Counter("ftclust_sessions_created_total", "sessions created"),
 		repairs:         reg.Counter("ftclust_repairs_total", "accepted session mutation batches"),
-		assessments:     reg.Counter("ftclust_assessments_total", "damage assessments (one per accepted mutation batch)"),
 		fallbacks:       reg.Counter("ftclust_repair_fallbacks_total", "drift-triggered certified full re-solves"),
 		sessionsExpired: reg.Counter("ftclust_sessions_expired_total", "sessions swept by the idle-TTL janitor"),
 
@@ -208,13 +206,9 @@ func newMetrics(now time.Time) *metrics {
 	return m
 }
 
-// observeRepair records one accepted session mutation batch. Exactly one
-// assessment happens per batch (the engine's deficit-frontier pass), so
-// the assessments counter moves in lockstep with repairs — the regression
-// tests pin that ratio.
+// observeRepair records one accepted session mutation batch.
 func (m *metrics) observeRepair(st repairStats, d time.Duration) {
 	m.repairs.Add(1)
-	m.assessments.Add(1)
 	if st.fallback {
 		m.fallbacks.Add(1)
 	}
@@ -242,79 +236,6 @@ func (m *metrics) observeSolveStats(s ftclust.SolveStats) {
 	m.lpRounds.Observe(float64(s.LPRounds))
 	m.roundingP.Observe(float64(s.RoundingPasses))
 	m.dualGap.Observe(s.DualGap)
-}
-
-// MetricsSnapshot is an in-process summary of the counters, gauges and
-// latency quantiles that /metrics exposes, read by Server.Metrics.
-type MetricsSnapshot struct {
-	UptimeSeconds   float64 `json:"uptime_seconds"`
-	Solves          int64   `json:"solves"`
-	SolveErrors     int64   `json:"solve_errors"`
-	CacheHits       int64   `json:"cache_hits"`
-	CacheMisses     int64   `json:"cache_misses"`
-	Coalesced       int64   `json:"coalesced"`
-	Batches         int64   `json:"batches"`
-	BatchShared     int64   `json:"batch_shared_instances"`
-	Verifies        int64   `json:"verifies"`
-	QueueDepth      int     `json:"queue_depth"`
-	QueueRejected   int64   `json:"queue_rejected"`
-	ShedQueue       int64   `json:"shed_queue"`
-	ShedRatelimit   int64   `json:"shed_ratelimit"`
-	FleetScrapes    int64   `json:"fleet_scrapes"`
-	FleetScrapeErrs int64   `json:"fleet_scrape_errors"`
-	Canceled        int64   `json:"canceled"`
-	InFlight        int64   `json:"in_flight"`
-	SlowRequests    int64   `json:"slow_requests"`
-	SessionsActive  int     `json:"sessions_active"`
-	SessionsCreated int64   `json:"sessions_created"`
-	SessionsExpired int64   `json:"sessions_expired"`
-	Repairs         int64   `json:"repairs"`
-	Assessments     int64   `json:"assessments"`
-	RepairFallbacks int64   `json:"repair_fallbacks"`
-	SolveLatencyP50 float64 `json:"solve_latency_p50_ms"`
-	SolveLatencyP90 float64 `json:"solve_latency_p90_ms"`
-	SolveLatencyP99 float64 `json:"solve_latency_p99_ms"`
-	LatencySamples  int64   `json:"latency_samples"`
-	QueueWaitP50    float64 `json:"queue_wait_p50_ms"`
-	QueueWaitP99    float64 `json:"queue_wait_p99_ms"`
-	QueueWaitSample int64   `json:"queue_wait_samples"`
-}
-
-func (m *metrics) snapshot(now time.Time) MetricsSnapshot {
-	toMs := func(sec float64) float64 { return sec * 1e3 }
-	return MetricsSnapshot{
-		UptimeSeconds:   now.Sub(m.start).Seconds(),
-		Solves:          m.solves.Value(),
-		SolveErrors:     m.solveErrors.Value(),
-		CacheHits:       m.cacheHits.Value(),
-		CacheMisses:     m.cacheMisses.Value(),
-		Coalesced:       m.coalesced.Value(),
-		Batches:         m.batches.Value(),
-		BatchShared:     m.batchShared.Value(),
-		Verifies:        m.verifies.Value(),
-		QueueDepth:      m.queueDepth(),
-		QueueRejected:   m.queueRejected.Value(),
-		ShedQueue:       m.shedQueue.Value(),
-		ShedRatelimit:   m.shedRate.Value(),
-		FleetScrapes:    m.fleetScrapes.Value(),
-		FleetScrapeErrs: m.fleetScrapeErrors.Value(),
-		Canceled:        m.canceled.Value(),
-		InFlight:        m.inFlight.Load(),
-		SlowRequests:    m.slowRequests.Value(),
-		SessionsActive:  m.activeSessions(),
-		SessionsCreated: m.sessionsCreated.Value(),
-		SessionsExpired: m.sessionsExpired.Value(),
-		Repairs:         m.repairs.Value(),
-		Assessments:     m.assessments.Value(),
-		RepairFallbacks: m.fallbacks.Value(),
-		SolveLatencyP50: toMs(m.solveLat.Quantile(0.50)),
-		SolveLatencyP90: toMs(m.solveLat.Quantile(0.90)),
-		SolveLatencyP99: toMs(m.solveLat.Quantile(0.99)),
-		LatencySamples:  m.solveLat.Count(),
-		QueueWaitP50:    toMs(m.queueWait.Quantile(0.50)),
-		QueueWaitP99:    toMs(m.queueWait.Quantile(0.99)),
-		QueueWaitSample: m.queueWait.Count(),
-	}
 }
 
 // promHandler serves /metrics in Prometheus text exposition format.

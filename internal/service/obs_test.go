@@ -196,18 +196,18 @@ func TestQueueWaitAndSolveLatencySeparation(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/solve", gnpSolveBody) // hit: no new samples
 	postJSON(t, ts.URL+"/v1/solve", gnpSolveBody) // hit
 
-	m := s.Metrics()
-	if m.CacheHits != 2 || m.Solves != 1 {
-		t.Fatalf("unexpected traffic mix: %+v", m)
+	m := s.metrics
+	if hits, solves := m.cacheHits.Value(), m.solves.Value(); hits != 2 || solves != 1 {
+		t.Fatalf("unexpected traffic mix: hits=%d solves=%d", hits, solves)
 	}
-	if m.LatencySamples != 1 {
-		t.Errorf("solve-latency samples = %d, want 1 (cache hits must not count)", m.LatencySamples)
+	if n := m.solveLat.Count(); n != 1 {
+		t.Errorf("solve-latency samples = %d, want 1 (cache hits must not count)", n)
 	}
-	if m.QueueWaitSample != 1 {
-		t.Errorf("queue-wait samples = %d, want 1", m.QueueWaitSample)
+	if n := m.queueWait.Count(); n != 1 {
+		t.Errorf("queue-wait samples = %d, want 1", n)
 	}
-	if m.SolveLatencyP50 <= 0 || m.SolveLatencyP99 < m.SolveLatencyP50 {
-		t.Errorf("implausible solve quantiles: %+v", m)
+	if p50, p99 := m.solveLat.Quantile(0.50), m.solveLat.Quantile(0.99); p50 <= 0 || p99 < p50 {
+		t.Errorf("implausible solve quantiles: p50=%gs p99=%gs", p50, p99)
 	}
 }
 
@@ -267,7 +267,7 @@ func TestShutdownDrainFlushesTraceAndLogs(t *testing.T) {
 	}()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().InFlight == 0 && s.Metrics().Solves == 0 {
+	for s.metrics.inFlight.Load() == 0 && s.metrics.solves.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("solve never started")
 		}

@@ -144,10 +144,7 @@ func (s *Server) forwardSolve(w http.ResponseWriter, r *http.Request, owner stri
 	fail := func(reason string, err error) bool {
 		sp.SetAttr("error", reason)
 		sp.End()
-		s.cluster.Metrics().ForwardErrors.Inc()
-		s.event("forward-fallback", "owner", owner, "path", r.URL.Path, "reason", reason)
-		s.logger.Warn("cluster forward failed; solving locally",
-			"owner", owner, "path", r.URL.Path, "reason", reason, "err", err)
+		s.forwardFallback(owner, r.URL.Path, reason, err)
 		return false
 	}
 	resp, err := s.proxyPost(r.Context(), owner, r.URL.Path, body,
@@ -202,15 +199,29 @@ func (s *Server) stitchRemoteTrace(tr *obs.Trace, parent *obs.Span, enc string) 
 	tr.Graft(parent, sub)
 }
 
+// forwardFallback records one failed forward that the caller answers
+// with a local solve: the forward-error counter, a forward-fallback
+// event and a warn line, all carrying the same owner, path and reason.
+func (s *Server) forwardFallback(owner, path, reason string, err error) {
+	s.cluster.Metrics().ForwardErrors.Inc()
+	s.event("forward-fallback", "owner", owner, "path", path, "reason", reason)
+	s.logger.Warn("cluster forward failed; solving locally",
+		"owner", owner, "path", path, "reason", reason, "err", err)
+}
+
 // forwardSolveItem proxies one batch item to owner as a single
 // /v1/solve and decodes the outcome into batch-item form. The owner's
 // non-2xx statuses (its own shedding, validation) are relayed as the
-// item's status; transport errors return an error so the caller falls
-// back to a local solve.
+// item's status; a failed forward is recorded by forwardFallback and
+// returns status 0, so the caller falls back to a local solve.
 func (s *Server) forwardSolveItem(ctx context.Context, owner string, req *SolveRequest) (*SolveResponse, string, int, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, "", http.StatusInternalServerError, err
+	}
+	fail := func(reason string, err error) (*SolveResponse, string, int, error) {
+		s.forwardFallback(owner, "/v1/solvebatch", reason, err)
+		return nil, "", 0, err
 	}
 	// The batch's request ID travels with every item (one client request
 	// keeps one ID fleet-wide), but items do not ask for a trace export:
@@ -218,18 +229,18 @@ func (s *Server) forwardSolveItem(ctx context.Context, owner string, req *SolveR
 	// node's trace ring.
 	resp, err := s.proxyPost(ctx, owner, "/v1/solve", body, "", reqIDFrom(ctx), false)
 	if err != nil {
-		return nil, "", 0, err
+		return fail("transport", err)
 	}
 	defer resp.Body.Close()
 	// Read cap+1 so an over-limit body is detected rather than silently
 	// truncated (a truncated payload would surface as a confusing JSON
-	// parse error); status 0 routes the caller to its local fallback.
+	// parse error).
 	payload, err := io.ReadAll(io.LimitReader(resp.Body, s.cfg.MaxBodyBytes+1))
 	if err != nil {
-		return nil, "", 0, err
+		return fail("read", err)
 	}
 	if int64(len(payload)) > s.cfg.MaxBodyBytes {
-		return nil, "", 0, fmt.Errorf("owner %s: response exceeds %d bytes", owner, s.cfg.MaxBodyBytes)
+		return fail("oversize", fmt.Errorf("owner %s: response exceeds %d bytes", owner, s.cfg.MaxBodyBytes))
 	}
 	if resp.StatusCode != http.StatusOK {
 		var eb errorBody
@@ -240,7 +251,7 @@ func (s *Server) forwardSolveItem(ctx context.Context, owner string, req *SolveR
 	}
 	var sol SolveResponse
 	if err := json.Unmarshal(payload, &sol); err != nil {
-		return nil, "", 0, fmt.Errorf("owner %s: malformed solution: %w", owner, err)
+		return fail("malformed", fmt.Errorf("owner %s: malformed solution: %w", owner, err))
 	}
 	return &sol, resp.Header.Get("X-Cache"), http.StatusOK, nil
 }

@@ -311,9 +311,6 @@ func (s *Server) sessionJanitor(stop <-chan struct{}) {
 // the request-ID / tracing / access-log / per-endpoint-metrics middleware.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Metrics returns a point-in-time snapshot of the service counters.
-func (s *Server) Metrics() MetricsSnapshot { return s.metrics.snapshot(time.Now()) }
-
 // Shutdown drains the solver pool: new jobs are rejected with 503 while
 // every accepted solve runs to completion (in-flight HTTP handlers are
 // the listener's responsibility — call http.Server.Shutdown first, then

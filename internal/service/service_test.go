@@ -80,12 +80,12 @@ func TestSolveEndpointAndCache(t *testing.T) {
 		t.Fatal("different seed must miss the cache")
 	}
 
-	m := s.Metrics()
-	if m.CacheHits < 1 || m.CacheMisses < 2 || m.Solves < 2 {
-		t.Fatalf("metrics after solves: %+v", m)
+	m := s.metrics
+	if hits, misses, solves := m.cacheHits.Value(), m.cacheMisses.Value(), m.solves.Value(); hits < 1 || misses < 2 || solves < 2 {
+		t.Fatalf("metrics after solves: hits=%d misses=%d solves=%d", hits, misses, solves)
 	}
-	if m.LatencySamples < 2 || m.SolveLatencyP99 < m.SolveLatencyP50 {
-		t.Fatalf("latency metrics: %+v", m)
+	if n, p50, p99 := m.solveLat.Count(), m.solveLat.Quantile(0.50), m.solveLat.Quantile(0.99); n < 2 || p99 < p50 {
+		t.Fatalf("latency metrics: samples=%d p50=%gs p99=%gs", n, p50, p99)
 	}
 }
 
@@ -263,8 +263,8 @@ func TestVerifyEndpoint(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
-	if s.Metrics().Verifies < 2 {
-		t.Fatalf("verify counter: %+v", s.Metrics())
+	if got := s.metrics.verifies.Value(); got < 2 {
+		t.Fatalf("verify counter = %d, want ≥ 2", got)
 	}
 }
 
@@ -282,7 +282,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if created.SessionID == "" || created.Solution == nil || !created.Solution.Verified {
 		t.Fatalf("bad create response: %s", body)
 	}
-	coldSolves := s.Metrics().Solves
+	coldSolves := s.metrics.solves.Value()
 
 	// Failures go through the delta fail op; there is no /fail route.
 	resp, _ = postJSON(t, ts.URL+"/v1/session/"+created.SessionID+"/fail",
@@ -304,11 +304,11 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("fail response: %+v", dr)
 	}
 	// The session survived via local repair: no additional full solve ran.
-	if got := s.Metrics().Solves; got != coldSolves {
+	if got := s.metrics.solves.Value(); got != coldSolves {
 		t.Fatalf("failure injection triggered a full re-solve (%d -> %d)", coldSolves, got)
 	}
-	if s.Metrics().Repairs != 1 {
-		t.Fatalf("repairs counter: %+v", s.Metrics())
+	if got := s.metrics.repairs.Value(); got != 1 {
+		t.Fatalf("repairs counter = %d, want 1", got)
 	}
 
 	// Status reflects the damage and the repair.
@@ -360,8 +360,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if getResp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("get after delete: status %d, want 404", getResp2.StatusCode)
 	}
-	if s.Metrics().SessionsActive != 0 {
-		t.Fatalf("sessions_active after delete: %+v", s.Metrics())
+	if got := s.sessions.len(); got != 0 {
+		t.Fatalf("sessions_active after delete = %d, want 0", got)
 	}
 }
 
@@ -377,7 +377,7 @@ func TestSessionRepeatedFailureWaves(t *testing.T) {
 	if err := json.Unmarshal(body, &created); err != nil {
 		t.Fatal(err)
 	}
-	coldSolves := s.Metrics().Solves
+	coldSolves := s.metrics.solves.Value()
 	members := created.Solution.Members
 	for wave := 0; wave < 4; wave++ {
 		resp, body := postJSON(t, ts.URL+"/v1/session/"+created.SessionID+"/delta",
@@ -393,11 +393,11 @@ func TestSessionRepeatedFailureWaves(t *testing.T) {
 			t.Fatalf("wave %d left the session infeasible: %+v", wave, dr)
 		}
 	}
-	if s.Metrics().Solves != coldSolves {
+	if s.metrics.solves.Value() != coldSolves {
 		t.Fatal("failure waves must not trigger full re-solves")
 	}
-	if s.Metrics().Repairs != 4 {
-		t.Fatalf("repairs = %d, want 4", s.Metrics().Repairs)
+	if got := s.metrics.repairs.Value(); got != 4 {
+		t.Fatalf("repairs = %d, want 4", got)
 	}
 }
 
@@ -494,10 +494,10 @@ func TestConcurrentSolvesDeterministic(t *testing.T) {
 	if misses != 1 {
 		t.Errorf("%d requests answered X-Cache: miss, want exactly 1", misses)
 	}
-	m := s.Metrics()
-	if m.CacheMisses != 1 || m.Coalesced != parallel-1 || m.CacheHits != 0 || m.Solves != 1 {
+	m := s.metrics
+	if m.cacheMisses.Value() != 1 || m.coalesced.Value() != parallel-1 || m.cacheHits.Value() != 0 || m.solves.Value() != 1 {
 		t.Errorf("misses=%d coalesced=%d hits=%d solves=%d, want 1, %d, 0, 1",
-			m.CacheMisses, m.Coalesced, m.CacheHits, m.Solves, parallel-1)
+			m.cacheMisses.Value(), m.coalesced.Value(), m.cacheHits.Value(), m.solves.Value(), parallel-1)
 	}
 }
 
@@ -543,12 +543,11 @@ func TestSolveBatchEndpoint(t *testing.T) {
 	if bytes.Equal(a, mustMarshal(t, br.Results[1].Solution)) {
 		t.Fatal("distinct-seed item returned the duplicate's solution")
 	}
-	m := s.Metrics()
-	if m.Batches != 1 {
-		t.Errorf("batches = %d, want 1", m.Batches)
+	if got := s.metrics.batches.Value(); got != 1 {
+		t.Errorf("batches = %d, want 1", got)
 	}
-	if m.Solves != 2 {
-		t.Errorf("solves = %d, want 2 (three duplicates coalesce/hit)", m.Solves)
+	if got := s.metrics.solves.Value(); got != 2 {
+		t.Errorf("solves = %d, want 2 (three duplicates coalesce/hit)", got)
 	}
 
 	// Validation: empty and oversized batches are rejected whole.
@@ -593,12 +592,11 @@ func TestSolveBatchSharesFamilyInstances(t *testing.T) {
 	if len(sizes) < 2 {
 		t.Error("different k values produced identical solutions — items not solved independently")
 	}
-	m := s.Metrics()
-	if m.BatchShared != 5 {
-		t.Errorf("batch_shared_instances = %d, want 5 (six items, one family)", m.BatchShared)
+	if got := s.metrics.batchShared.Value(); got != 5 {
+		t.Errorf("batch_shared_instances = %d, want 5 (six items, one family)", got)
 	}
-	if m.Solves != 6 {
-		t.Errorf("solves = %d, want 6 (distinct k → distinct cache keys)", m.Solves)
+	if got := s.metrics.solves.Value(); got != 6 {
+		t.Errorf("solves = %d, want 6 (distinct k → distinct cache keys)", got)
 	}
 }
 
@@ -620,8 +618,8 @@ func TestSolveDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (body %s)", resp.StatusCode, body)
 	}
-	if s.Metrics().Canceled < 1 {
-		t.Fatalf("canceled counter: %+v", s.Metrics())
+	if got := s.metrics.canceled.Value(); got < 1 {
+		t.Fatalf("canceled counter = %d, want ≥ 1", got)
 	}
 }
 
@@ -652,7 +650,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 
 	// Wait until the solve is actually in flight.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().InFlight == 0 && s.Metrics().Solves == 0 {
+	for s.metrics.inFlight.Load() == 0 && s.metrics.solves.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("solve never started")
 		}

@@ -118,8 +118,8 @@ func TestSessionDeltaLifecycle(t *testing.T) {
 	if st.Epoch != 2 || st.N != 11 || st.DeadNodes != 0 || !st.Feasible || st.Repairs != 2 {
 		t.Fatalf("state after deltas: %+v", st)
 	}
-	if m := s.Metrics(); m.Repairs != 2 || m.Assessments != 2 {
-		t.Fatalf("repair metrics: repairs=%d assessments=%d", m.Repairs, m.Assessments)
+	if got := s.metrics.repairs.Value(); got != 2 {
+		t.Fatalf("repairs = %d, want 2", got)
 	}
 
 	// Malformed ops are rejected with 400 and don't advance the epoch.
@@ -235,9 +235,8 @@ func TestTrailingJSONRejected(t *testing.T) {
 }
 
 // TestSessionSingleAssessmentPerFail pins the double-assessment fix: each
-// accepted fail runs exactly one damage assessment (the engine's deficit
-// pass), tracked by the assessments counter moving in lockstep with
-// repairs.
+// accepted fail is exactly one repair (one pass of the engine's deficit
+// frontier), and a rejected fail is none.
 func TestSessionSingleAssessmentPerFail(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	cr := createSession(t, ts.URL, `{"family":{"name":"gnp","n":120,"degree":6,"seed":5},"k":2}`)
@@ -249,18 +248,14 @@ func TestSessionSingleAssessmentPerFail(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("wave %d: status %d, body %s", wave, resp.StatusCode, b)
 		}
-		m := s.Metrics()
-		if m.Assessments != int64(wave+1) {
-			t.Fatalf("wave %d: assessments = %d, want exactly %d", wave, m.Assessments, wave+1)
-		}
-		if m.Assessments != m.Repairs {
-			t.Fatalf("assessments (%d) diverged from repairs (%d)", m.Assessments, m.Repairs)
+		if got := s.metrics.repairs.Value(); got != int64(wave+1) {
+			t.Fatalf("wave %d: repairs = %d, want exactly %d", wave, got, wave+1)
 		}
 	}
-	// Rejected requests assess nothing.
+	// Rejected requests repair nothing.
 	postJSON(t, ts.URL+"/v1/session/"+id+"/delta", failDelta(99999))
-	if m := s.Metrics(); m.Assessments != 4 {
-		t.Fatalf("rejected fail ran an assessment: %d", m.Assessments)
+	if got := s.metrics.repairs.Value(); got != 4 {
+		t.Fatalf("rejected fail ran a repair: repairs = %d, want 4", got)
 	}
 }
 
@@ -302,8 +297,8 @@ func TestSessionDeltaDriftFallback(t *testing.T) {
 	if st.Fallbacks != 1 || !st.Feasible {
 		t.Fatalf("state after fallback: %+v", st)
 	}
-	if m := s.Metrics(); m.RepairFallbacks != 1 {
-		t.Fatalf("fallback counter = %d, want 1", m.RepairFallbacks)
+	if got := s.metrics.fallbacks.Value(); got != 1 {
+		t.Fatalf("fallback counter = %d, want 1", got)
 	}
 
 	// The session keeps absorbing deltas on the compacted base.
@@ -398,8 +393,8 @@ func TestSessionTTLJanitorExpiresIdleSessions(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("expired session still reachable: status %d", resp.StatusCode)
 	}
-	if m := s.Metrics(); m.SessionsExpired < 1 {
-		t.Fatalf("sessions_expired = %d, want ≥ 1", m.SessionsExpired)
+	if got := s.metrics.sessionsExpired.Value(); got < 1 {
+		t.Fatalf("sessions_expired = %d, want ≥ 1", got)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // PhaseTable renders one solve's observer output — the per-phase span
-// breakdown plus the solve summary — as a table, the shared backend of
-// `kmds -trace` and `ftbench -trace`.
+// breakdown plus the solve summary — as a table, the backend of
+// `kmds -trace`.
 func PhaseTable(phases []obs.PhaseInfo, stats obs.SolveStats) *Table {
 	t := New("solve phase breakdown", "phase", "rounds", "wall_ms", "share_%", "alloc_objs")
 	var total time.Duration
