@@ -8,8 +8,8 @@
 //
 //	ftserved [-addr :8080] [-workers N] [-queue 64] [-cache 128]
 //	         [-timeout 60s] [-max-body 16777216] [-max-nodes 1048576]
-//	         [-solve-threads 1] [-drain 30s] [-log-level info]
-//	         [-slow-ms 0] [-trace-ring 256] [-event-ring 256] [-pprof]
+//	         [-session-ttl 30m] [-drain 30s] [-log-level info]
+//	         [-slow-ms 0] [-pprof]
 //	         [-join host:port,...] [-advertise host:port]
 //	         [-gossip-interval 1s] [-suspect-after 5s] [-evict-after 15s]
 //	         [-cluster-seed 1] [-rate 0] [-burst 0]
@@ -98,21 +98,18 @@ func splitSeeds(join string) []string {
 
 func run() error {
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "solver pool size (0 = GOMAXPROCS)")
-		queueDepth   = flag.Int("queue", 64, "max queued solves before shedding with 429")
-		cacheSize    = flag.Int("cache", 128, "LRU solution-cache entries (-1 disables)")
-		timeout      = flag.Duration("timeout", 60*time.Second, "per-request solve deadline")
-		maxBody      = flag.Int64("max-body", 16<<20, "max request body bytes")
-		maxNodes     = flag.Int("max-nodes", 1<<20, "max nodes per instance")
-		solveThreads = flag.Int("solve-threads", 1, "parallel sweep workers per solve")
-		sessionTTL   = flag.Duration("session-ttl", 30*time.Minute, "idle-session lifetime before the janitor sweeps it (negative disables)")
-		drain        = flag.Duration("drain", 30*time.Second, "shutdown drain deadline")
-		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		slowMs       = flag.Int("slow-ms", 0, "warn-log requests slower than this many ms (0 disables)")
-		traceRing    = flag.Int("trace-ring", 256, "recent request traces kept for /debug/trace")
-		eventRing    = flag.Int("event-ring", 256, "recent structured events kept for /debug/events")
-		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
+		addr       = flag.String("addr", ":8080", "listen address")
+		workers    = flag.Int("workers", 0, "solver pool size (0 = GOMAXPROCS)")
+		queueDepth = flag.Int("queue", 64, "max queued solves before shedding with 429")
+		cacheSize  = flag.Int("cache", 128, "LRU solution-cache entries (-1 disables)")
+		timeout    = flag.Duration("timeout", 60*time.Second, "per-request solve deadline")
+		maxBody    = flag.Int64("max-body", 16<<20, "max request body bytes")
+		maxNodes   = flag.Int("max-nodes", 1<<20, "max nodes per instance")
+		sessionTTL = flag.Duration("session-ttl", 30*time.Minute, "idle-session lifetime before the janitor sweeps it (negative disables)")
+		drain      = flag.Duration("drain", 30*time.Second, "shutdown drain deadline")
+		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		slowMs     = flag.Int("slow-ms", 0, "warn-log requests slower than this many ms (0 disables)")
+		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
 		join           = flag.String("join", "", "comma-separated seed peers (host:port,...) — enables cluster mode")
 		advertise      = flag.String("advertise", "", "address peers should dial for this node (default: derived from -addr)")
@@ -154,12 +151,9 @@ func run() error {
 		SolveTimeout: *timeout,
 		MaxBodyBytes: *maxBody,
 		MaxNodes:     *maxNodes,
-		SolveThreads: *solveThreads,
 		SessionTTL:   *sessionTTL,
 		Logger:       logger,
 		SlowRequest:  time.Duration(*slowMs) * time.Millisecond,
-		TraceRing:    *traceRing,
-		EventRing:    *eventRing,
 		Cluster:      clusterCfg,
 		RatePerSec:   *rate,
 		RateBurst:    *burst,

@@ -12,6 +12,7 @@ import (
 	"ftclust/internal/radio"
 	"ftclust/internal/routing"
 	"ftclust/internal/tdma"
+	"ftclust/internal/verify"
 )
 
 // DiscoveryResult reports a slotted-ALOHA neighbor-discovery run.
@@ -98,7 +99,7 @@ func RepairAfterFailures(g *Graph, sol *Solution, dead []NodeID, k int) (*Soluti
 	}
 	return &Solution{
 		InSet:     res.InSet,
-		Members:   setFromMask(res.InSet),
+		Members:   verify.SetFromMask(res.InSet),
 		Rounds:    res.Iterations,
 		Algorithm: sol.Algorithm + " + repair",
 	}, res.Promoted, nil
@@ -226,7 +227,7 @@ func (e *ChurnEngine) Solution() *Solution {
 	mask := e.eng.InSet()
 	return &Solution{
 		InSet:     mask,
-		Members:   setFromMask(mask),
+		Members:   verify.SetFromMask(mask),
 		Algorithm: "churn-engine",
 	}
 }
@@ -288,14 +289,4 @@ func RouteLength(g *Graph, backbone *Solution, src, dst NodeID) (hops int, ok bo
 	}
 	h, ok := r.PathLength(src, dst)
 	return h, ok, nil
-}
-
-func setFromMask(mask []bool) []NodeID {
-	var out []NodeID
-	for v, in := range mask {
-		if in {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
 }

@@ -1,15 +1,17 @@
 // Package obs is the service's stdlib-only observability kernel: atomic
-// counters and gauges, fixed log-bucket histograms with a Prometheus
-// text-exposition writer, solver phase-observer hooks, and request span
-// traces with a bounded browsable ring. It deliberately imports nothing
-// beyond the standard library so internal/core can depend on it without
-// pulling the serving stack into the solver.
+// counters and gauges, fixed log-bucket histograms, one metrics model
+// (PromSnapshot: a registry's Snapshot, a parsed peer scrape or a merged
+// fleet view, all rendered by one Prometheus text writer), solver
+// phase-observer hooks, and request span traces with a bounded
+// browsable ring. It deliberately imports nothing beyond the standard
+// library so internal/core can depend on it without pulling the serving
+// stack into the solver.
 package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,15 +39,15 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Histogram is a fixed-bucket histogram with atomic per-bucket counters:
-// observations are lock-free and quantiles come from bucket interpolation
-// instead of the lock-and-sort a sample ring needs. Bounds are the
-// inclusive upper edges of the finite buckets; one implicit +Inf bucket
-// catches the overflow.
+// observations are lock-free, and quantiles come from interpolating a
+// snapshot of the buckets (PromHistogram.Quantile) instead of the
+// lock-and-sort a sample ring needs. Bounds are the inclusive upper
+// edges of the finite buckets; one implicit +Inf bucket catches the
+// overflow.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1, last = +Inf
-	total  atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-updated
+	sum    atomic.Uint64  // float64 bits, CAS-updated
 }
 
 // NewHistogram builds a histogram over the given ascending finite bounds.
@@ -84,7 +86,6 @@ func DurationBuckets() []float64 { return ExponentialBuckets(1e-4, 2, 22) }
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.total.Add(1)
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -96,139 +97,50 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.total.Load() }
+// Count returns the number of observations: a snapshot's Count, the sum
+// of the buckets.
+func (h *Histogram) Count() int64 { return h.snapshot().Count }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// inside the bucket holding the target rank. Estimates are monotone in q.
-// With no observations it returns 0; ranks landing in the +Inf bucket
-// report the largest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := make([]int64, len(h.counts))
+// snapshot reads every bucket once. Count is the sum of the buckets
+// read, so _count equals the +Inf bucket even while Observe runs
+// concurrently.
+func (h *Histogram) snapshot() *PromHistogram {
+	ph := &PromHistogram{
+		Bounds:  slices.Clone(h.bounds),
+		Buckets: make([]int64, len(h.counts)),
+		Sum:     h.Sum(),
+	}
 	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
+		ph.Buckets[i] = h.counts[i].Load()
+		ph.Count += ph.Buckets[i]
 	}
-	return quantile(h.bounds, counts, q)
+	return ph
 }
 
-// quantile is the one bucket interpolation behind Histogram.Quantile and
-// PromHistogram.Quantile. counts holds per-bucket (non-cumulative) counts
-// over the finite ascending bounds plus the +Inf bucket last; the total
-// is their sum, so one snapshot of counts always yields a consistent
-// rank.
-func quantile(bounds []float64, counts []int64, q float64) float64 {
-	total := int64(0)
-	for _, n := range counts {
-		total += n
-	}
-	if total == 0 || len(bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i, n := range counts {
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i == len(bounds) { // +Inf bucket: clamp
-				return bounds[len(bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			hi := bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return bounds[len(bounds)-1]
-}
-
-// Merge adds o's buckets into h. Both histograms must share the exact
-// bucket layout (same bounds, element-wise) — bucket-wise sum is only
-// meaningful then, and a mismatch returns an error without touching h.
-// Merging preserves quantile monotonicity: every per-bucket count, the
-// total, and the sum grow by o's non-negative contributions, so the
-// cumulative distribution of the merged histogram dominates both
-// inputs' and Quantile stays monotone in q. Safe for concurrent use
-// with Observe on h; o should be quiescent (a scraped snapshot) or the
-// copy is merely racy-but-consistent per bucket.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil {
-		return nil
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("obs: histogram merge: %d buckets vs %d", len(h.bounds), len(o.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != o.bounds[i] {
-			return fmt.Errorf("obs: histogram merge: bound %d differs (%v vs %v)", i, h.bounds[i], o.bounds[i])
-		}
-	}
-	for i := range o.counts {
-		if n := o.counts[i].Load(); n > 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	if n := o.total.Load(); n > 0 {
-		h.total.Add(n)
-	}
-	if s := o.Sum(); s != 0 {
-		for {
-			old := h.sum.Load()
-			if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+s)) {
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// metricKind tags a registered series for the exposition writer.
-type metricKind int
-
+// Metric kinds, spelled as the exposition's # TYPE line spells them.
 const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
+	kindCounter   = "counter"
+	kindGauge     = "gauge"
+	kindHistogram = "histogram"
 )
-
-func (k metricKind) String() string {
-	switch k {
-	case kindCounter:
-		return "counter"
-	case kindGauge:
-		return "gauge"
-	default:
-		return "histogram"
-	}
-}
 
 // metric is one registered series: a (name, labels) pair plus its data.
 type metric struct {
 	name   string
 	help   string
-	kind   metricKind
-	labels string // pre-rendered `k="v",…` or ""
+	kind   string
+	labels string // canonical `k="v",…` (keys sorted) or ""
 	c      *Counter
 	g      func() float64
 	h      *Histogram
 }
 
-// Registry holds named metrics and renders them in Prometheus text
-// exposition format. Registration takes a lock; the returned Counter and
-// Histogram handles are lock-free to use.
+// Registry holds named metrics; Snapshot reads them into the
+// PromSnapshot that /metrics renders. Registration takes a lock; the
+// returned Counter and Histogram handles are lock-free to use.
 type Registry struct {
 	mu    sync.Mutex
 	order []*metric
@@ -256,18 +168,20 @@ func renderLabels(pairs []string) string {
 	return sb.String()
 }
 
-func (r *Registry) register(name, help string, kind metricKind, labels []string) *metric {
-	ls := renderLabels(labels)
-	key := name + "{" + ls + "}"
+// register publishes m under (m.name, labels), or returns the series
+// already there. m is complete before it is published, so a concurrent
+// Snapshot never reads a half-built series.
+func (r *Registry) register(m *metric, labels []string) *metric {
+	m.labels = canonicalLabels(renderLabels(labels))
+	key := m.name + "{" + m.labels + "}"
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[key]; ok {
-		if m.kind != kind {
+	if old, ok := r.byKey[key]; ok {
+		if old.kind != m.kind {
 			panic(fmt.Sprintf("obs: metric %s re-registered as a different kind", key))
 		}
-		return m
+		return old
 	}
-	m := &metric{name: name, help: help, kind: kind, labels: ls}
 	r.byKey[key] = m
 	r.order = append(r.order, m)
 	return m
@@ -276,98 +190,44 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string)
 // Counter registers (or returns the existing) counter series. Optional
 // labels are pairwise key, value arguments.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	m := r.register(name, help, kindCounter, labels)
-	if m.c == nil {
-		m.c = &Counter{}
-	}
-	return m.c
+	return r.register(&metric{name: name, help: help, kind: kindCounter, c: &Counter{}}, labels).c
 }
 
-// Gauge registers a gauge series read through fn at exposition time.
+// Gauge registers a gauge series read through fn at snapshot time;
+// re-registering an existing series keeps its first fn.
 func (r *Registry) Gauge(name, help string, fn func() float64, labels ...string) {
-	m := r.register(name, help, kindGauge, labels)
-	m.g = fn
+	r.register(&metric{name: name, help: help, kind: kindGauge, g: fn}, labels)
 }
 
 // Histogram registers (or returns the existing) histogram series over the
 // given bucket bounds.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	m := r.register(name, help, kindHistogram, labels)
-	if m.h == nil {
-		m.h = NewHistogram(bounds)
-	}
-	return m.h
+	return r.register(&metric{name: name, help: help, kind: kindHistogram, h: NewHistogram(bounds)}, labels).h
 }
 
-// WritePrometheus renders every registered series in text exposition
-// format (version 0.0.4): one # HELP / # TYPE header per metric name,
-// then the series in registration order; histograms expand into
-// cumulative _bucket{le=…} series plus _sum and _count, with _count
-// equal to the +Inf bucket even under concurrent observations.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// Snapshot reads every registered series once: families in
+// first-registration order under their first registration's HELP text
+// and kind, series in registration order.
+func (r *Registry) Snapshot() *PromSnapshot {
 	r.mu.Lock()
-	ms := append([]*metric(nil), r.order...)
+	ms := slices.Clone(r.order)
 	r.mu.Unlock()
 
-	seen := make(map[string]bool, len(ms))
-	var sb strings.Builder
+	s := NewPromSnapshot()
 	for _, m := range ms {
-		if !seen[m.name] {
-			seen[m.name] = true
-			fmt.Fprintf(&sb, "# HELP %s %s\n", m.name, m.help)
-			fmt.Fprintf(&sb, "# TYPE %s %s\n", m.name, m.kind)
+		f := s.family(m.name)
+		if len(f.series) == 0 {
+			f.Help, f.Kind = m.help, m.kind
 		}
+		sr := f.seriesFor(m.labels)
 		switch m.kind {
 		case kindCounter:
-			fmt.Fprintf(&sb, "%s %d\n", seriesName(m.name, m.labels), m.c.Value())
+			sr.Value = float64(m.c.Value())
 		case kindGauge:
-			fmt.Fprintf(&sb, "%s %s\n", seriesName(m.name, m.labels), formatFloat(m.g()))
-		case kindHistogram:
-			cum := int64(0)
-			for i, bound := range m.h.bounds {
-				cum += m.h.counts[i].Load()
-				fmt.Fprintf(&sb, "%s %d\n",
-					seriesName(m.name+"_bucket", withLabel(m.labels, "le", formatFloat(bound))), cum)
-			}
-			cum += m.h.counts[len(m.h.bounds)].Load()
-			fmt.Fprintf(&sb, "%s %d\n",
-				seriesName(m.name+"_bucket", withLabel(m.labels, "le", "+Inf")), cum)
-			fmt.Fprintf(&sb, "%s %s\n", seriesName(m.name+"_sum", m.labels), formatFloat(m.h.Sum()))
-			// _count is the +Inf bucket of the same read, not the live
-			// total: an Observe racing this scrape must not leave the
-			// two disagreeing.
-			fmt.Fprintf(&sb, "%s %d\n", seriesName(m.name+"_count", m.labels), cum)
+			sr.Value = m.g()
+		default:
+			sr.Hist = m.h.snapshot()
 		}
 	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-func seriesName(name, labels string) string {
-	if labels == "" {
-		return name
-	}
-	return name + "{" + labels + "}"
-}
-
-func withLabel(labels, k, v string) string {
-	extra := fmt.Sprintf("%s=%q", k, v)
-	if labels == "" {
-		return extra
-	}
-	return labels + "," + extra
-}
-
-// formatFloat renders a float the way Prometheus clients expect: shortest
-// exact decimal form, with +Inf/-Inf/NaN spelled out.
-func formatFloat(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case math.IsNaN(v):
-		return "NaN"
-	}
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v), "0"), ".")
+	return s
 }

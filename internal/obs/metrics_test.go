@@ -24,7 +24,8 @@ func TestHistogramQuantilesMonotone(t *testing.T) {
 	if h.Count() != 1000 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	p50, p90, p99 := h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99)
+	snap := h.snapshot()
+	p50, p90, p99 := snap.Quantile(0.50), snap.Quantile(0.90), snap.Quantile(0.99)
 	if !(p50 <= p90 && p90 <= p99) {
 		t.Fatalf("quantiles not monotone: p50=%v p90=%v p99=%v", p50, p90, p99)
 	}
@@ -41,11 +42,11 @@ func TestHistogramQuantilesMonotone(t *testing.T) {
 
 func TestHistogramEmptyAndOverflow(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
-	if q := h.Quantile(0.99); q != 0 {
+	if q := h.snapshot().Quantile(0.99); q != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", q)
 	}
 	h.Observe(1000) // +Inf bucket
-	if q := h.Quantile(0.5); q != 4 {
+	if q := h.snapshot().Quantile(0.5); q != 4 {
 		t.Fatalf("overflow quantile = %v, want clamp to 4", q)
 	}
 }
@@ -61,7 +62,7 @@ func TestRegistryPrometheusExposition(t *testing.T) {
 	h.Observe(5) // overflow
 
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.Snapshot().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -98,7 +99,7 @@ func TestRegistryDedupAndHeaderOnce(t *testing.T) {
 	a.Inc()
 	b.Add(2)
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.Snapshot().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -117,7 +118,7 @@ func TestHistogramBucketMonotonicityInExposition(t *testing.T) {
 		h.ObserveDuration(d)
 	}
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.Snapshot().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	prev := int64(-1)

@@ -5,17 +5,19 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Metrics federation: parse the Prometheus text exposition our own
-// Registry writes, merge snapshots from several peers (counters and
-// gauges sum; histograms sum bucket-wise when the layouts match), and
-// re-render the aggregate. This is deliberately a parser for the 0.0.4
-// text format as *this repo emits it* — HELP/TYPE headers, optional
-// `k="v"` labels with Go quoting, integer counters, formatFloat floats,
+// The one metrics model. A PromSnapshot is what Registry.Snapshot reads
+// from this node, what ParsePrometheus reads from a peer's /metrics,
+// and what MergePrometheus folds peers into for the fleet view (counters
+// and gauges sum; histograms sum bucket-wise when the layouts match);
+// WritePrometheus renders all three. The parser reads the 0.0.4 text
+// format as *this repo emits it* — HELP/TYPE headers, optional `k="v"`
+// labels with Go quoting, integer counters, formatFloat floats,
 // cumulative histogram buckets — not a general OpenMetrics parser.
 // Unknown or malformed constructs are errors, and the fleet endpoint
 // treats a peer that fails to parse as a scrape error, not a 500.
@@ -27,7 +29,8 @@ const (
 	maxPromLineLen = 16 << 10
 )
 
-// PromSnapshot is one parsed (or merged) metrics exposition.
+// PromSnapshot is one metrics exposition: a registry snapshot, a parsed
+// scrape, or a merge of several.
 type PromSnapshot struct {
 	families []*PromFamily
 	byName   map[string]*PromFamily
@@ -51,9 +54,10 @@ type PromSeries struct {
 	Hist   *PromHistogram
 }
 
-// PromHistogram is a parsed histogram: finite ascending upper bounds
+// PromHistogram is a histogram read once: finite ascending upper bounds
 // plus per-bucket (non-cumulative) counts, with the +Inf bucket last in
-// Buckets, mirroring the layout of obs.Histogram.
+// Buckets, mirroring the layout of obs.Histogram. Count is the sum of
+// Buckets.
 type PromHistogram struct {
 	Bounds  []float64 // finite upper edges, ascending
 	Buckets []int64   // len(Bounds)+1, last = +Inf
@@ -61,25 +65,42 @@ type PromHistogram struct {
 	Sum     float64
 }
 
-// Quantile estimates the q-quantile by the same bucket interpolation as
-// Histogram.Quantile, so fleet-level percentiles match node-local ones.
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
+// inside the bucket holding the target rank q·Count; it is the one
+// bucket interpolation, for a node's own snapshot and a fleet merge
+// alike. Estimates are monotone in q. With no observations it returns
+// 0; ranks landing in the +Inf bucket report the largest finite bound.
 func (h *PromHistogram) Quantile(q float64) float64 {
-	if h == nil {
+	if h == nil || h.Count == 0 || len(h.Bounds) == 0 {
 		return 0
 	}
-	return quantile(h.Bounds, h.Buckets, q)
-}
-
-// Families returns the families in first-seen order.
-func (s *PromSnapshot) Families() []*PromFamily {
-	if s == nil {
-		return nil
+	rank := q * float64(h.Count)
+	cum := int64(0)
+	for i, n := range h.Buckets {
+		if n == 0 {
+			continue
+		}
+		if float64(cum+n) >= rank {
+			if i == len(h.Bounds) { // +Inf bucket: clamp
+				return h.Bounds[len(h.Bounds)-1]
+			}
+			lo := 0.0
+			if i > 0 {
+				lo = h.Bounds[i-1]
+			}
+			hi := h.Bounds[i]
+			frac := (rank - float64(cum)) / float64(n)
+			if frac < 0 {
+				frac = 0
+			} else if frac > 1 {
+				frac = 1
+			}
+			return lo + (hi-lo)*frac
+		}
+		cum += n
 	}
-	return s.families
+	return h.Bounds[len(h.Bounds)-1]
 }
-
-// Series returns the family's series in first-seen order.
-func (f *PromFamily) Series() []*PromSeries { return f.series }
 
 // Family returns the named family, if present.
 func (s *PromSnapshot) Family(name string) (*PromFamily, bool) {
@@ -134,10 +155,6 @@ func (s *PromSnapshot) Hist(name string, labels ...string) (*PromHistogram, bool
 	return sr.Hist, true
 }
 
-func newPromSnapshot() *PromSnapshot {
-	return &PromSnapshot{byName: make(map[string]*PromFamily)}
-}
-
 func (s *PromSnapshot) family(name string) *PromFamily {
 	if f, ok := s.byName[name]; ok {
 		return f
@@ -169,7 +186,7 @@ type histAssembly struct {
 
 // ParsePrometheus parses one exposition body.
 func ParsePrometheus(r io.Reader) (*PromSnapshot, error) {
-	snap := newPromSnapshot()
+	snap := NewPromSnapshot()
 	hists := make(map[string]map[string]*histAssembly) // base name → labels → assembly
 	histOrder := make(map[string][]string)             // base name → label arrival order
 	nSeries := 0
@@ -465,7 +482,8 @@ func (a *histAssembly) build() (*PromHistogram, error) {
 // the offending family — the fleet endpoint counts that peer as a
 // scrape error and moves on. Counters and gauges sum (a summed gauge is
 // a fleet total, e.g. ftclust_cluster_peers aggregates to peers×nodes);
-// histograms sum bucket-wise via the same rule as Histogram.Merge.
+// histograms sum bucket by bucket, Count and Sum with them, so the
+// merged Count stays the sum of its Buckets.
 func MergePrometheus(dst, src *PromSnapshot) error {
 	if src == nil {
 		return nil
@@ -487,7 +505,7 @@ func MergePrometheus(dst, src *PromSnapshot) error {
 			if (ds.Hist == nil) != (ss.Hist == nil) {
 				return fmt.Errorf("obs: merge %s: histogram vs scalar series", sf.Name)
 			}
-			if ss.Hist != nil && !equalBounds(ds.Hist.Bounds, ss.Hist.Bounds) {
+			if ss.Hist != nil && !slices.Equal(ds.Hist.Bounds, ss.Hist.Bounds) {
 				return fmt.Errorf("obs: merge %s: bucket layouts differ", sf.Name)
 			}
 		}
@@ -526,23 +544,16 @@ func MergePrometheus(dst, src *PromSnapshot) error {
 	return nil
 }
 
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// NewPromSnapshot returns an empty snapshot to merge peers into.
+func NewPromSnapshot() *PromSnapshot {
+	return &PromSnapshot{byName: make(map[string]*PromFamily)}
 }
 
-// NewPromSnapshot returns an empty snapshot to merge peers into.
-func NewPromSnapshot() *PromSnapshot { return newPromSnapshot() }
-
-// WritePrometheus re-renders the snapshot in text exposition format,
-// families and series in first-seen order, histograms re-cumulated.
+// WritePrometheus renders the snapshot in text exposition format
+// (version 0.0.4): each family is one contiguous group under one # HELP
+// and one # TYPE line, families and series in first-seen order;
+// histograms expand into cumulative _bucket{le=…} series plus _sum and
+// _count.
 func (s *PromSnapshot) WritePrometheus(w io.Writer) error {
 	var sb strings.Builder
 	for _, f := range s.families {
@@ -572,4 +583,34 @@ func (s *PromSnapshot) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
+}
+
+func seriesName(name, labels string) string {
+	if labels == "" {
+		return name
+	}
+	return name + "{" + labels + "}"
+}
+
+func withLabel(labels, k, v string) string {
+	extra := fmt.Sprintf("%s=%q", k, v)
+	if labels == "" {
+		return extra
+	}
+	return labels + "," + extra
+}
+
+// formatFloat renders a float in fixed notation with six decimals and
+// trailing zeros trimmed (sums keep microsecond resolution), with
+// +Inf/-Inf/NaN spelled out.
+func formatFloat(v float64) string {
+	switch {
+	case math.IsInf(v, 1):
+		return "+Inf"
+	case math.IsInf(v, -1):
+		return "-Inf"
+	case math.IsNaN(v):
+		return "NaN"
+	}
+	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v), "0"), ".")
 }

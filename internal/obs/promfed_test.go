@@ -2,85 +2,10 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
-
-func TestHistogramMergeBucketwise(t *testing.T) {
-	a := NewHistogram([]float64{1, 2, 4})
-	b := NewHistogram([]float64{1, 2, 4})
-	a.Observe(0.5)
-	a.Observe(3)
-	b.Observe(1.5)
-	b.Observe(100) // +Inf bucket
-	b.Observe(100)
-
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if a.Count() != 5 {
-		t.Fatalf("merged count = %d, want 5", a.Count())
-	}
-	wantSum := 0.5 + 3 + 1.5 + 100 + 100
-	if math.Abs(a.Sum()-wantSum) > 1e-9 {
-		t.Fatalf("merged sum = %v, want %v", a.Sum(), wantSum)
-	}
-	// Bucket-wise: [0.5]→b0, [1.5]→b1, [3]→b2, [100,100]→+Inf.
-	wantCounts := []int64{1, 1, 1, 2}
-	for i, want := range wantCounts {
-		if got := a.counts[i].Load(); got != want {
-			t.Errorf("bucket %d = %d, want %d", i, got, want)
-		}
-	}
-	// +Inf ranks clamp to the top finite bound.
-	if q := a.Quantile(0.99); q != 4 {
-		t.Errorf("p99 = %v, want clamp to 4", q)
-	}
-}
-
-func TestHistogramMergeQuantileMonotone(t *testing.T) {
-	a := NewHistogram(DurationBuckets())
-	b := NewHistogram(DurationBuckets())
-	for i := 1; i <= 500; i++ {
-		a.Observe(float64(i) * 1e-4)
-		b.Observe(float64(i) * 3e-4)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	prev := -1.0
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		v := a.Quantile(q)
-		if v < prev {
-			t.Fatalf("quantiles not monotone after merge: q=%v gives %v < %v", q, v, prev)
-		}
-		prev = v
-	}
-	if a.Count() != 1000 {
-		t.Fatalf("merged count = %d, want 1000", a.Count())
-	}
-}
-
-func TestHistogramMergeRejectsMismatchedLayout(t *testing.T) {
-	a := NewHistogram([]float64{1, 2, 4})
-	a.Observe(1)
-	for _, o := range []*Histogram{
-		NewHistogram([]float64{1, 2}),
-		NewHistogram([]float64{1, 2, 8}),
-	} {
-		o.Observe(1)
-		if err := a.Merge(o); err == nil {
-			t.Fatalf("merge accepted mismatched layout %v", o.bounds)
-		}
-	}
-	// Rejection left a untouched.
-	if a.Count() != 1 {
-		t.Fatalf("failed merge mutated the receiver: count=%d", a.Count())
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("nil merge: %v", err)
-	}
-}
 
 // registryText renders a small registry with one of each metric kind.
 func registryText(t *testing.T, scale int64) string {
@@ -96,7 +21,7 @@ func registryText(t *testing.T, scale int64) string {
 		h.Observe(5) // +Inf
 	}
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.Snapshot().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()
@@ -146,9 +71,10 @@ func TestParsePrometheusRoundTrip(t *testing.T) {
 	}
 }
 
-// A quantile read from a scraped exposition equals the node-local one
-// exactly: WritePrometheus → ParsePrometheus → PromHistogram.Quantile
-// must reproduce Histogram.Quantile bit for bit.
+// A histogram read from a scraped exposition equals the node's own
+// snapshot exactly: Snapshot → WritePrometheus → ParsePrometheus must
+// reproduce the bounds, buckets and count bit for bit (so every
+// quantile too), and the sum at the exposition's six decimals.
 func TestQuantileRoundTripThroughExposition(t *testing.T) {
 	durations := make([]float64, 1000)
 	for i := range durations {
@@ -171,8 +97,10 @@ func TestQuantileRoundTripThroughExposition(t *testing.T) {
 		for _, v := range tc.obs {
 			h.Observe(v)
 		}
+		local := reg.Snapshot()
+		lh, _ := local.Hist("ft_rt_seconds")
 		var sb strings.Builder
-		if err := reg.WritePrometheus(&sb); err != nil {
+		if err := local.WritePrometheus(&sb); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := ParsePrometheus(strings.NewReader(sb.String()))
@@ -180,11 +108,13 @@ func TestQuantileRoundTripThroughExposition(t *testing.T) {
 			t.Fatalf("%s: parse: %v", tc.name, err)
 		}
 		ph, ok := snap.Hist("ft_rt_seconds")
-		if !ok || ph.Count != h.Count() {
-			t.Fatalf("%s: parsed histogram %+v, want count %d", tc.name, ph, h.Count())
+		if !ok || ph.Count != lh.Count || ph.Count != h.Count() ||
+			!slices.Equal(ph.Bounds, lh.Bounds) || !slices.Equal(ph.Buckets, lh.Buckets) ||
+			formatFloat(ph.Sum) != formatFloat(lh.Sum) {
+			t.Fatalf("%s: parsed histogram %+v, want %+v", tc.name, ph, lh)
 		}
 		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-			if got, want := ph.Quantile(q), h.Quantile(q); got != want {
+			if got, want := ph.Quantile(q), lh.Quantile(q); got != want {
 				t.Errorf("%s: q=%v scraped %v, local %v", tc.name, q, got, want)
 			}
 		}
@@ -215,9 +145,27 @@ func TestMergePrometheusSumsPeers(t *testing.T) {
 	if h.Buckets[1] != 7 || h.Buckets[3] != 7 {
 		t.Fatalf("merged buckets: %+v", h.Buckets)
 	}
-	// Quantile well-defined on the merged result.
+	if math.Abs(h.Sum-35.035) > 1e-9 { // 7 × (0.005 + 5)
+		t.Fatalf("merged sum = %v, want 35.035", h.Sum)
+	}
+	// Quantile well-defined on the merged result: monotone in q, and
+	// ranks in the +Inf bucket clamp to the top finite bound.
 	if q := h.Quantile(0.25); q <= 0 || q > 0.01 {
 		t.Fatalf("merged p25 = %v", q)
+	}
+	prev := -1.0
+	for q := 0.0; q <= 1.0; q += 0.05 {
+		v := h.Quantile(q)
+		if v < prev {
+			t.Fatalf("merged quantiles not monotone: q=%v gives %v < %v", q, v, prev)
+		}
+		prev = v
+	}
+	if q := h.Quantile(0.99); q != 0.1 {
+		t.Fatalf("merged p99 = %v, want clamp to 0.1", q)
+	}
+	if err := MergePrometheus(agg, nil); err != nil {
+		t.Fatalf("nil merge: %v", err)
 	}
 
 	// Rendered aggregate has monotone cumulative buckets.
@@ -235,7 +183,7 @@ func TestMergePrometheusRejectsLayoutMismatch(t *testing.T) {
 		r := NewRegistry()
 		r.Histogram("ft_dur_seconds", "dur", bounds).Observe(0.5)
 		var sb strings.Builder
-		if err := r.WritePrometheus(&sb); err != nil {
+		if err := r.Snapshot().WritePrometheus(&sb); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := ParsePrometheus(strings.NewReader(sb.String()))
@@ -293,7 +241,7 @@ func TestParsePrometheusSumSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, _ := snap2.Family("ft_y")
-	if len(f.Series()) != 1 {
-		t.Fatalf("label orders not canonicalized: %d series", len(f.Series()))
+	if len(f.series) != 1 {
+		t.Fatalf("label orders not canonicalized: %d series", len(f.series))
 	}
 }

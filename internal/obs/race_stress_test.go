@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -45,19 +46,26 @@ func TestMetricsConcurrentStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
+				snap := r.Snapshot()
+				// A mid-flight snapshot must still be self-consistent:
+				// each histogram's Count is the sum of its buckets, so
+				// the rendered _count equals the +Inf bucket and a fleet
+				// scrape that parses it accepts the peer.
+				ph, ok := snap.Hist("stress_seconds")
+				if !ok {
+					t.Error("mid-flight snapshot lacks stress_seconds")
+					return
+				}
 				var sb strings.Builder
-				if err := r.WritePrometheus(&sb); err != nil {
+				if err := snap.WritePrometheus(&sb); err != nil {
 					t.Errorf("WritePrometheus: %v", err)
 					return
 				}
-				// A mid-flight scrape must still be self-consistent
-				// (each histogram's _count equals its +Inf bucket), or
-				// a fleet scrape that parses it rejects the peer.
 				if _, err := ParsePrometheus(strings.NewReader(sb.String())); err != nil {
 					t.Errorf("mid-flight scrape does not parse: %v", err)
 					return
 				}
-				if q := h.Quantile(0.5); math.IsNaN(q) || q < 0 {
+				if q := ph.Quantile(0.5); math.IsNaN(q) || q < 0 {
 					t.Errorf("mid-flight Quantile(0.5) = %v", q)
 					return
 				}
@@ -75,7 +83,7 @@ func TestMetricsConcurrentStress(t *testing.T) {
 		t.Errorf("counter = %d, want %d", got, want)
 	}
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.Snapshot().WritePrometheus(&sb); err != nil {
 		t.Fatalf("final WritePrometheus: %v", err)
 	}
 	for _, series := range []string{
@@ -86,6 +94,43 @@ func TestMetricsConcurrentStress(t *testing.T) {
 		if !strings.Contains(sb.String(), series) {
 			t.Errorf("final exposition missing %q:\n%s", series, sb.String())
 		}
+	}
+}
+
+// TestSnapshotRacesRegistration registers a new series on every step
+// while another goroutine snapshots: a snapshot must never read a series
+// whose counter, gauge or histogram is still being attached (under
+// -race the detector sees that; without it, a nil read panics).
+func TestSnapshotRacesRegistration(t *testing.T) {
+	r := NewRegistry()
+	const steps = 2000
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < steps; i++ {
+			l := strconv.Itoa(i)
+			r.Counter("late_total", "late counter", "i", l).Inc()
+			r.Histogram("late_seconds", "late histogram", []float64{1}, "i", l).Observe(0.5)
+			r.Gauge("late_gauge", "late gauge", func() float64 { return 1 }, "i", l)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				r.Snapshot()
+			}
+		}
+	}()
+	wg.Wait()
+	if got := r.Snapshot().SumSeries("late_total"); got != steps {
+		t.Fatalf("late counters sum to %v, want %d", got, steps)
 	}
 }
 

@@ -77,7 +77,7 @@ func waitPeers(t *testing.T, nodes []*clusterNode, want int) {
 	for {
 		converged := true
 		for _, n := range nodes {
-			if n.srv.ClusterPeers() != want {
+			if n.srv.cluster.NumMembers() != want {
 				converged = false
 				break
 			}
@@ -88,7 +88,7 @@ func waitPeers(t *testing.T, nodes []*clusterNode, want int) {
 		if time.Now().After(deadline) {
 			views := make([]string, len(nodes))
 			for i, n := range nodes {
-				views[i] = fmt.Sprintf("%s=%d", n.addr, n.srv.ClusterPeers())
+				views[i] = fmt.Sprintf("%s=%d", n.addr, n.srv.cluster.NumMembers())
 			}
 			t.Fatalf("cluster never converged on %d members: %s", want, strings.Join(views, " "))
 		}

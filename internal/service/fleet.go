@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -85,10 +84,11 @@ type fleetScrape struct {
 	err  error
 }
 
-// scrapeFleet concurrently scrapes every member (self from the local
-// registry, peers over HTTP) and merges the parses. Scrape and merge
-// failures degrade to per-peer error rows; the returned aggregate holds
-// whatever subset succeeded.
+// scrapeFleet concurrently scrapes every member (self as its registry's
+// Snapshot, with no text round trip; peers by parsing their /metrics
+// over HTTP) and merges the snapshots. Scrape and merge failures
+// degrade to per-peer error rows; the returned aggregate holds whatever
+// subset succeeded.
 func (s *Server) scrapeFleet(ctx context.Context) (FleetSummary, *obs.PromSnapshot) {
 	self := ""
 	var statuses []cluster.PeerStatus
@@ -117,7 +117,7 @@ func (s *Server) scrapeFleet(ctx context.Context) (FleetSummary, *obs.PromSnapsh
 			var snap *obs.PromSnapshot
 			var err error
 			if i == 0 {
-				snap, err = s.scrapeSelf()
+				snap = s.metrics.reg.Snapshot()
 			} else {
 				snap, err = s.scrapePeer(ctx, addr)
 			}
@@ -170,17 +170,6 @@ func (s *Server) scrapeFleet(ctx context.Context) (FleetSummary, *obs.PromSnapsh
 		}
 	}
 	return sum, agg
-}
-
-// scrapeSelf renders and re-parses this node's own registry — no HTTP
-// hop, and the same code path as remote peers so the merge sees one
-// uniform input shape.
-func (s *Server) scrapeSelf() (*obs.PromSnapshot, error) {
-	var buf bytes.Buffer
-	if err := s.metrics.reg.WritePrometheus(&buf); err != nil {
-		return nil, err
-	}
-	return obs.ParsePrometheus(&buf)
 }
 
 // scrapePeer fetches and parses one remote /metrics.
@@ -238,13 +227,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 // text-format consumers can see partiality without the JSON endpoint.
 func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	sum, agg := s.scrapeFleet(r.Context())
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "# fleet: %d members, %d scrape errors\n", sum.Members, sum.ScrapeErrors)
-	if err := agg.WritePrometheus(&buf); err != nil {
-		http.Error(w, "rendering fleet metrics: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	fmt.Fprintf(w, "# fleet: %d members, %d scrape errors\n", sum.Members, sum.ScrapeErrors)
+	_ = agg.WritePrometheus(w) // a failed write means the scraper left
 }

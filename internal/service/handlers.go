@@ -506,7 +506,6 @@ func (s *Server) leadSolve(ctx context.Context, req *SolveRequest, g *graph.Grap
 		solveOpts := []ftclust.Option{
 			ftclust.WithT(req.T),
 			ftclust.WithSeed(req.Seed),
-			ftclust.WithWorkers(s.cfg.SolveThreads),
 			ftclust.WithContext(jobCtx),
 			ftclust.WithScratch(scratch),
 			ftclust.WithObserver(observer),

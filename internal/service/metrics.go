@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -240,12 +239,6 @@ func (m *metrics) observeSolveStats(s ftclust.SolveStats) {
 
 // promHandler serves /metrics in Prometheus text exposition format.
 func (m *metrics) promHandler(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := m.reg.WritePrometheus(&buf); err != nil {
-		http.Error(w, "rendering metrics: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	_ = m.reg.Snapshot().WritePrometheus(w) // a failed write means the scraper left
 }

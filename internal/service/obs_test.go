@@ -109,6 +109,54 @@ func TestPrometheusMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// Every family in /metrics is one contiguous group: one # HELP and one
+// # TYPE line, then all of its samples (a histogram's _bucket, _sum and
+// _count lines included) before the next family starts. The text
+// format forbids splitting a family, and the per-endpoint http
+// histogram and counter are registered alternately.
+func TestMetricsFamiliesContiguous(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	postJSON(t, ts.URL+"/v1/solve", gnpSolveBody)
+	_, body := getBody(t, ts.URL+"/metrics")
+
+	kinds := map[string]string{} // family → # TYPE kind
+	headers := map[string]int{}  // "HELP name" / "TYPE name" → lines
+	closed := map[string]bool{}  // families whose group has ended
+	cur := ""
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		var family string
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" {
+			family = f[2]
+			headers[f[1]+" "+family]++
+			if f[1] == "TYPE" && len(f) == 4 {
+				kinds[family] = f[3]
+			}
+		} else {
+			family = line[:strings.IndexAny(line, "{ ")]
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(family, suffix); ok && kinds[base] == "histogram" {
+					family = base
+				}
+			}
+		}
+		if family != cur {
+			if closed[family] {
+				t.Errorf("family %s resumes after %s: %q", family, cur, line)
+			}
+			closed[cur] = true
+			cur = family
+		}
+	}
+	if len(kinds) < 20 {
+		t.Fatalf("only %d families in /metrics:\n%s", len(kinds), body)
+	}
+	for family := range kinds {
+		if h, ty := headers["HELP "+family], headers["TYPE "+family]; h != 1 || ty != 1 {
+			t.Errorf("family %s: %d HELP and %d TYPE lines, want 1 each", family, h, ty)
+		}
+	}
+}
+
 // Every response carries X-Request-ID; for API calls the ID resolves at
 // /debug/trace/{id} to a span tree with queue wait, cache decision,
 // solver phases and encode. Client-supplied IDs are propagated.
@@ -206,7 +254,8 @@ func TestQueueWaitAndSolveLatencySeparation(t *testing.T) {
 	if n := m.queueWait.Count(); n != 1 {
 		t.Errorf("queue-wait samples = %d, want 1", n)
 	}
-	if p50, p99 := m.solveLat.Quantile(0.50), m.solveLat.Quantile(0.99); p50 <= 0 || p99 < p50 {
+	lat, _ := m.reg.Snapshot().Hist("ftclust_solve_duration_seconds")
+	if p50, p99 := lat.Quantile(0.50), lat.Quantile(0.99); p50 <= 0 || p99 < p50 {
 		t.Errorf("implausible solve quantiles: p50=%gs p99=%gs", p50, p99)
 	}
 }

@@ -293,13 +293,3 @@ func (s *Server) proxyPost(ctx context.Context, owner, path string, body []byte,
 	m.ForwardDur.ObserveDuration(time.Since(start))
 	return resp, nil
 }
-
-// ClusterPeers returns the cluster membership size this node currently
-// sees (self included), or 0 when cluster mode is off — the harness and
-// smoke tests poll it for convergence.
-func (s *Server) ClusterPeers() int {
-	if s.cluster == nil {
-		return 0
-	}
-	return s.cluster.NumMembers()
-}

@@ -73,10 +73,6 @@ type Config struct {
 	// SolveTimeout is the per-request solve deadline (default 60s;
 	// negative disables).
 	SolveTimeout time.Duration
-	// SolveThreads is the per-solve worker count handed to the engine's
-	// parallel sweeps (default 1: with a pool of concurrent solves,
-	// one thread per solve is the throughput-optimal default).
-	SolveThreads int
 	// MaxSessions bounds live sessions (default 1024).
 	MaxSessions int
 	// SessionTTL is how long an idle session survives before the janitor
@@ -90,14 +86,6 @@ type Config struct {
 	// logged at warn level with its full timing breakdown (default 0:
 	// disabled).
 	SlowRequest time.Duration
-	// TraceRing bounds how many recent request traces /debug/trace keeps
-	// (default 256). Only /v1/* requests are retained; probe endpoints
-	// would otherwise flush real solves out of the ring.
-	TraceRing int
-	// EventRing bounds the structured event log behind /debug/events:
-	// membership transitions, shed decisions, forward and repair
-	// fallbacks (default 256).
-	EventRing int
 	// Cluster enables cluster mode when non-nil: this node gossips
 	// membership with its peers and routes /v1/solve and /v1/solvebatch
 	// keys to their rendezvous owners.
@@ -151,9 +139,6 @@ func (c *Config) fillDefaults() {
 	if c.SolveTimeout == 0 {
 		c.SolveTimeout = 60 * time.Second
 	}
-	if c.SolveThreads <= 0 {
-		c.SolveThreads = 1
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1024
 	}
@@ -163,12 +148,6 @@ func (c *Config) fillDefaults() {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = 256
-	}
-	if c.EventRing <= 0 {
-		c.EventRing = 256
-	}
 	if c.RatePerSec > 0 && c.RateBurst <= 0 {
 		c.RateBurst = int(2 * c.RatePerSec)
 		if c.RateBurst < 1 {
@@ -176,6 +155,13 @@ func (c *Config) fillDefaults() {
 		}
 	}
 }
+
+// debugRing bounds both debug rings: the recent request traces behind
+// /debug/trace (only /v1/* requests are kept, so probe endpoints never
+// flush real solves out) and the structured event log behind
+// /debug/events (membership transitions, shed decisions, forward and
+// repair fallbacks).
+const debugRing = 256
 
 // Server is the clustering service. Create with New, mount Handler on an
 // http.Server (or httptest), and call Shutdown to drain.
@@ -210,8 +196,8 @@ func New(cfg Config) *Server {
 		flights:  newFlightGroup(),
 		metrics:  newMetrics(time.Now()),
 		sessions: newSessionStore(cfg.MaxSessions),
-		traces:   obs.NewRing(cfg.TraceRing),
-		events:   obs.NewEventRing(cfg.EventRing),
+		traces:   obs.NewRing(debugRing),
+		events:   obs.NewEventRing(debugRing),
 		logger:   cfg.Logger,
 	}
 	s.metrics.queueDepth = s.queue.Depth

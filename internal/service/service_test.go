@@ -84,7 +84,8 @@ func TestSolveEndpointAndCache(t *testing.T) {
 	if hits, misses, solves := m.cacheHits.Value(), m.cacheMisses.Value(), m.solves.Value(); hits < 1 || misses < 2 || solves < 2 {
 		t.Fatalf("metrics after solves: hits=%d misses=%d solves=%d", hits, misses, solves)
 	}
-	if n, p50, p99 := m.solveLat.Count(), m.solveLat.Quantile(0.50), m.solveLat.Quantile(0.99); n < 2 || p99 < p50 {
+	lat, _ := m.reg.Snapshot().Hist("ftclust_solve_duration_seconds")
+	if n, p50, p99 := lat.Count, lat.Quantile(0.50), lat.Quantile(0.99); n < 2 || p99 < p50 {
 		t.Fatalf("latency metrics: samples=%d p50=%gs p99=%gs", n, p50, p99)
 	}
 }
