@@ -64,6 +64,58 @@ func FuzzCanonicalHash(f *testing.F) {
 	})
 }
 
+// FuzzCanonicalPairsHash checks the pair digest against the CSR from
+// both sides: when CanonicalPairsHash accepts a list, FromEdges builds it
+// and CanonicalHash agrees with the pair digest; and whenever FromEdges
+// builds a graph, CanonicalPairsHash accepts its EdgeList, so any input
+// already in that order, with the same digest. The first byte is a signed
+// node count, each following byte pair a signed edge, as in FuzzFromEdges.
+func FuzzCanonicalPairsHash(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 0, 3, 1, 2, 2, 4, 3, 4}) // canonical
+	f.Add([]byte{0})                               // n = 0, no edges
+	f.Add([]byte{3})                               // isolated nodes only
+	f.Add([]byte{0xfe})                            // negative n
+	f.Add([]byte{5, 0, 1, 0, 3, 0, 3, 2, 4})       // a repeated pair
+	f.Add([]byte{5, 0, 3, 0, 1, 2, 4})             // V out of order in a row
+	f.Add([]byte{5, 1, 2, 0, 4})                   // U out of order
+	f.Add([]byte{5, 0, 1, 2, 1, 3, 4})             // one pair with U > V
+	f.Add([]byte{3, 0, 1, 2, 2})                   // self-loop
+	f.Add([]byte{3, 0xff, 1})                      // negative endpoint
+	f.Add([]byte{3, 0, 1, 1, 3})                   // out of range
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 || len(in) > 1<<12 {
+			return
+		}
+		n := int(int8(in[0]))
+		var pairs [][2]int
+		var edges []Edge
+		for i := 1; i+1 < len(in); i += 2 {
+			u, v := int(int8(in[i])), int(int8(in[i+1]))
+			pairs = append(pairs, [2]int{u, v})
+			edges = append(edges, Edge{NodeID(u), NodeID(v)})
+		}
+		hash, ok := CanonicalPairsHash(n, pairs)
+		g, err := FromEdges(n, edges)
+		if ok && err != nil {
+			t.Fatalf("CanonicalPairsHash accepted %d, %v, which FromEdges rejects: %v", n, pairs, err)
+		}
+		if err != nil {
+			return
+		}
+		want := g.CanonicalHash()
+		if ok && hash != want {
+			t.Fatalf("pair digest %s, CanonicalHash %s for %d, %v", hash, want, n, pairs)
+		}
+		canon := make([][2]int, 0, g.NumEdges())
+		for _, e := range g.EdgeList() {
+			canon = append(canon, [2]int{int(e.U), int(e.V)})
+		}
+		if got, ok := CanonicalPairsHash(n, canon); !ok || got != want {
+			t.Fatalf("EdgeList %v of %d nodes: CanonicalPairsHash = %s, %v; CanonicalHash %s", canon, n, got, ok, want)
+		}
+	})
+}
+
 // FuzzRead ensures the graph codec never panics and that anything it
 // accepts re-encodes to a parseable, equivalent graph.
 func FuzzRead(f *testing.F) {

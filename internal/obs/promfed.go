@@ -600,17 +600,11 @@ func withLabel(labels, k, v string) string {
 	return labels + "," + extra
 }
 
-// formatFloat renders a float in fixed notation with six decimals and
-// trailing zeros trimmed (sums keep microsecond resolution), with
-// +Inf/-Inf/NaN spelled out.
+// formatFloat renders a float in the shortest form that parses back to
+// the same value, so sums and gauges keep every digit: fixed notation
+// from 1e-4 to below 1e6, a range that holds every bucket bound the
+// service registers, an exponent outside it, and +Inf, -Inf and NaN
+// spelled out.
 func formatFloat(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case math.IsNaN(v):
-		return "NaN"
-	}
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%f", v), "0"), ".")
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -6,11 +6,14 @@ import (
 	"sync"
 )
 
-// lruCache is a thread-safe fixed-capacity LRU map from cache key to
-// solve response. Keys are built by solveCacheKey from the canonical
-// graph hash plus every option that influences the result, so a hit is
-// guaranteed to be the byte-identical answer the solver would recompute.
-// A capacity ≤ 0 disables caching (every Get misses, Put is a no-op).
+// lruCache is a thread-safe fixed-capacity LRU map from cache key to a
+// solve answer, held once, as the exact bytes /v1/solve writes: the
+// leader encodes them once, and every hit writes them as they are. Keys
+// are built by solveCacheKey from the canonical graph hash plus every
+// option that influences the result, so a hit is guaranteed to be the
+// byte-identical answer the solver would recompute. Callers must not
+// modify a body they Put or Get. A capacity ≤ 0 disables caching (every
+// Get misses, Put is a no-op).
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -19,8 +22,8 @@ type lruCache struct {
 }
 
 type cacheEntry struct {
-	key string
-	val *SolveResponse
+	key  string
+	body []byte
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -31,8 +34,8 @@ func newLRUCache(capacity int) *lruCache {
 	}
 }
 
-// Get returns the cached response for key and refreshes its recency.
-func (c *lruCache) Get(key string) (*SolveResponse, bool) {
+// Get returns the cached body for key and refreshes its recency.
+func (c *lruCache) Get(key string) ([]byte, bool) {
 	if c.cap <= 0 {
 		return nil, false
 	}
@@ -43,12 +46,12 @@ func (c *lruCache) Get(key string) (*SolveResponse, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
+	return el.Value.(*cacheEntry).body, true
 }
 
 // Put inserts or refreshes key, evicting the least recently used entry
 // when the cache is full.
-func (c *lruCache) Put(key string, val *SolveResponse) {
+func (c *lruCache) Put(key string, body []byte) {
 	if c.cap <= 0 {
 		return
 	}
@@ -56,10 +59,10 @@ func (c *lruCache) Put(key string, val *SolveResponse) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).val = val
+		el.Value.(*cacheEntry).body = body
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

@@ -1,10 +1,13 @@
 package service
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func TestLRUCacheEvictsOldest(t *testing.T) {
 	c := newLRUCache(2)
-	a, b, d := &SolveResponse{Size: 1}, &SolveResponse{Size: 2}, &SolveResponse{Size: 3}
+	a, b, d := []byte(`{"size":1}`), []byte(`{"size":2}`), []byte(`{"size":3}`)
 	c.Put("a", a)
 	c.Put("b", b)
 	if _, ok := c.Get("a"); !ok { // refresh a; b is now oldest
@@ -14,10 +17,10 @@ func TestLRUCacheEvictsOldest(t *testing.T) {
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted (least recently used)")
 	}
-	if got, ok := c.Get("a"); !ok || got != a {
+	if got, ok := c.Get("a"); !ok || !bytes.Equal(got, a) {
 		t.Fatal("a should have survived the eviction")
 	}
-	if got, ok := c.Get("d"); !ok || got != d {
+	if got, ok := c.Get("d"); !ok || !bytes.Equal(got, d) {
 		t.Fatal("d should be cached")
 	}
 	if c.Len() != 2 {
@@ -27,10 +30,10 @@ func TestLRUCacheEvictsOldest(t *testing.T) {
 
 func TestLRUCachePutRefreshesValue(t *testing.T) {
 	c := newLRUCache(2)
-	c.Put("a", &SolveResponse{Size: 1})
-	v2 := &SolveResponse{Size: 9}
+	c.Put("a", []byte(`{"size":1}`))
+	v2 := []byte(`{"size":9}`)
 	c.Put("a", v2)
-	if got, _ := c.Get("a"); got != v2 {
+	if got, _ := c.Get("a"); !bytes.Equal(got, v2) {
 		t.Fatal("Put of an existing key must replace the value")
 	}
 	if c.Len() != 1 {
@@ -40,7 +43,7 @@ func TestLRUCachePutRefreshesValue(t *testing.T) {
 
 func TestLRUCacheDisabled(t *testing.T) {
 	c := newLRUCache(-1)
-	c.Put("a", &SolveResponse{})
+	c.Put("a", []byte(`{}`))
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache must always miss")
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -180,7 +181,8 @@ func TestClusterExactlyOnceSolves(t *testing.T) {
 
 // A forwarded response must be byte-identical to the one the owner
 // serves directly, and exactly one of the three nodes may claim a key
-// as local.
+// as local. A canonical edge list is keyed from its pairs, so a non-owner
+// forwards it without building the graph: its own spans hold no build.
 func TestClusterForwardedByteIdentical(t *testing.T) {
 	n1 := startClusterNode(t, nil, nil)
 	n2 := startClusterNode(t, []string{n1.addr}, nil)
@@ -188,28 +190,41 @@ func TestClusterForwardedByteIdentical(t *testing.T) {
 	nodes := []*clusterNode{n1, n2, n3}
 	waitPeers(t, nodes, 3)
 
-	body := solveBodyForSeed(1000)
-	var bodies [][]byte
-	locals, forwards := 0, 0
-	for _, n := range nodes {
-		resp, b := postJSON(t, n.ts.URL+"/v1/solve", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("solve on %s: status %d, body %s", n.addr, resp.StatusCode, b)
+	canonical := string(solveBody(t, udgDeployment(200, 8), false))
+	for _, body := range []string{solveBodyForSeed(1000), canonical} {
+		var bodies [][]byte
+		locals, forwards := 0, 0
+		for _, n := range nodes {
+			resp, b := postJSON(t, n.ts.URL+"/v1/solve", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("solve on %s: status %d, body %s", n.addr, resp.StatusCode, b)
+			}
+			switch resp.Header.Get("X-Cluster-Route") {
+			case "local":
+				locals++
+			case "forwarded":
+				forwards++
+				if body == canonical {
+					// The owner's spans are grafted under the forward
+					// span; the non-owner's own are the root's children.
+					var own []string
+					for _, sp := range fetchTrace(t, n.ts.URL, resp.Header.Get("X-Request-ID")).Root.Children {
+						own = append(own, sp.Name)
+					}
+					if !slices.Contains(own, "forward") || slices.Contains(own, "build") {
+						t.Errorf("non-owner %s forwarded a canonical body with spans %v, want a forward and no build", n.addr, own)
+					}
+				}
+			}
+			bodies = append(bodies, b)
 		}
-		switch resp.Header.Get("X-Cluster-Route") {
-		case "local":
-			locals++
-		case "forwarded":
-			forwards++
+		if locals != 1 || forwards != 2 {
+			t.Fatalf("route split local=%d forwarded=%d, want 1/2", locals, forwards)
 		}
-		bodies = append(bodies, b)
-	}
-	if locals != 1 || forwards != 2 {
-		t.Fatalf("route split local=%d forwarded=%d, want 1/2", locals, forwards)
-	}
-	for i := 1; i < len(bodies); i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Fatalf("response %d differs from response 0:\n%s\nvs\n%s", i, bodies[i], bodies[0])
+		for i := 1; i < len(bodies); i++ {
+			if !bytes.Equal(bodies[0], bodies[i]) {
+				t.Fatalf("response %d differs from response 0:\n%s\nvs\n%s", i, bodies[i], bodies[0])
+			}
 		}
 	}
 }

@@ -6,21 +6,21 @@ import "sync"
 // request to miss the cache becomes the leader and runs the solve; every
 // request for the same key that arrives while it is in flight becomes a
 // follower and waits for the leader's result instead of occupying another
-// pool worker. The solver is deterministic and the shared result is one
-// *SolveResponse pointer, so leader and followers serialize byte-identical
-// bodies — coalescing is invisible except for the X-Cache header and the
-// coalesced counter.
+// pool worker. The leader encodes the answer once, and leader and
+// followers write those same bytes, so coalescing is invisible except for
+// the X-Cache header and the coalesced counter.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight
 }
 
-// flight is one in-flight solve. done is closed after resp/status/err are
-// set and the flight has been removed from the group, so a follower that
-// observes done always sees the final outcome.
+// flight is one in-flight solve. done is closed after body/status/err
+// are set and the flight has been removed from the group, so a follower
+// that observes done always sees the final outcome. body is the encoded
+// /v1/solve answer, the same slice the cache holds; nobody modifies it.
 type flight struct {
 	done   chan struct{}
-	resp   *SolveResponse
+	body   []byte
 	status int
 	err    error
 	// followers counts the requests that joined behind the leader
@@ -52,8 +52,8 @@ func (g *flightGroup) join(key string) (*flight, bool) {
 // success): the flight is removed from the group before done is closed, so
 // a request arriving after removal finds the cache populated and never
 // re-solves.
-func (g *flightGroup) finish(key string, f *flight, resp *SolveResponse, status int, err error) {
-	f.resp, f.status, f.err = resp, status, err
+func (g *flightGroup) finish(key string, f *flight, body []byte, status int, err error) {
+	f.body, f.status, f.err = body, status, err
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()

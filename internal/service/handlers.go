@@ -217,6 +217,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// writeEncoded writes a JSON body that is already encoded: a cached or
+// led answer, or a relayed one.
+func writeEncoded(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
@@ -317,6 +325,17 @@ func (s *Server) readSolve(w http.ResponseWriter, r *http.Request, req *SolveReq
 	return body, true
 }
 
+// maxPooledEdges caps the capacity of an edge buffer kept for reuse
+// (1 MiB of edges), as maxPooledBody does for bodies.
+const maxPooledEdges = 1 << 16
+
+// edgePool holds the buffers buildGraph copies posted pairs into.
+// FromEdges keeps none of its input, so a buffer goes back as soon as the
+// CSR is built. The copy is a quarter of what a cold request allocates,
+// and the cache's encoded answers leave the collector a smaller live heap
+// to pace against, so without the pool it runs more often.
+var edgePool sync.Pool
+
 // buildGraph materializes the instance a request describes.
 func (s *Server) buildGraph(gs *GraphSpec, fs *FamilySpec) (*graph.Graph, error) {
 	switch {
@@ -326,11 +345,20 @@ func (s *Server) buildGraph(gs *GraphSpec, fs *FamilySpec) (*graph.Graph, error)
 		if gs.N < 0 || gs.N > s.cfg.MaxNodes {
 			return nil, fmt.Errorf("n = %d out of range [0, %d]", gs.N, s.cfg.MaxNodes)
 		}
-		edges := make([]graph.Edge, 0, len(gs.Edges))
-		for _, e := range gs.Edges {
-			edges = append(edges, graph.Edge{U: graph.NodeID(e[0]), V: graph.NodeID(e[1])})
+		buf, _ := edgePool.Get().(*[]graph.Edge)
+		if buf == nil || cap(*buf) < len(gs.Edges) {
+			buf = new([]graph.Edge)
+			*buf = make([]graph.Edge, len(gs.Edges))
 		}
-		return graph.FromEdges(gs.N, edges)
+		edges := (*buf)[:len(gs.Edges)]
+		for i, e := range gs.Edges {
+			edges[i] = graph.Edge{U: graph.NodeID(e[0]), V: graph.NodeID(e[1])}
+		}
+		g, err := graph.FromEdges(gs.N, edges)
+		if cap(edges) <= maxPooledEdges {
+			edgePool.Put(buf)
+		}
+		return g, err
 	case fs != nil:
 		if fs.N < 0 || fs.N > s.cfg.MaxNodes {
 			return nil, fmt.Errorf("n = %d out of range [0, %d]", fs.N, s.cfg.MaxNodes)
@@ -350,28 +378,45 @@ const (
 	cacheCoalesced = "coalesced"
 )
 
-// prepareSolve validates a request, fills its defaults, materializes
-// the instance and computes the cache/routing key — the part of a solve
-// every node does locally even for keys it forwards, because the key is
-// the canonical graph hash plus the solver parameters. The build and
-// hash stages are spans under parent in ctx's trace.
+// prepareSolve validates a request, fills its defaults and computes the
+// cache/routing key: the canonical graph hash plus the solver parameters.
+// Every node does this, even for keys it forwards. A canonical edge list
+// (every pair u < v, in strictly ascending order, as graph.Edges emits
+// it) is keyed straight from its pairs and the graph comes back nil, to
+// be built only where it is needed: by the flight leader on a miss, or
+// for a session. Any other instance is built here and keyed from its
+// CSR, so a list the pair path does not accept gets the build's error.
+// The build and hash stages are spans under parent in ctx's trace.
 func (s *Server) prepareSolve(ctx context.Context, req *SolveRequest, parent *obs.Span) (*graph.Graph, string, int, error) {
-	tr := obs.TraceFrom(ctx)
-	sp := tr.StartSpan(parent, "build")
-	g, err := s.buildGraph(req.Graph, req.Family)
-	sp.End()
+	if gs := req.Graph; gs != nil && req.Family == nil && gs.N <= s.cfg.MaxNodes {
+		start := time.Now()
+		if hash, ok := graph.CanonicalPairsHash(gs.N, gs.Edges); ok {
+			obs.TraceFrom(ctx).AddSpan(parent, "hash", start, time.Now())
+			return s.prepareSolveWith(req, nil, hash)
+		}
+	}
+	g, err := s.build(ctx, req, parent)
 	if err != nil {
 		return nil, "", http.StatusBadRequest, err
 	}
-	sp = tr.StartSpan(parent, "hash")
+	sp := obs.TraceFrom(ctx).StartSpan(parent, "hash")
 	hash := g.CanonicalHash()
 	sp.End()
 	return s.prepareSolveWith(req, g, hash)
 }
 
-// prepareSolveWith is prepareSolve for an already-materialized instance
-// with a precomputed canonical hash — the batch path materializes each
-// unique family once and prepares every item against the shared copy.
+// build materializes the instance a request describes, as the build
+// stage: a span under parent in ctx's trace.
+func (s *Server) build(ctx context.Context, req *SolveRequest, parent *obs.Span) (*graph.Graph, error) {
+	sp := obs.TraceFrom(ctx).StartSpan(parent, "build")
+	defer sp.End()
+	return s.buildGraph(req.Graph, req.Family)
+}
+
+// prepareSolveWith is prepareSolve for an instance with a precomputed
+// canonical hash: g is the built graph, or nil when the key came from the
+// pairs. The batch path materializes each unique family once and
+// prepares every item against the shared copy.
 func (s *Server) prepareSolveWith(req *SolveRequest, g *graph.Graph, hash string) (*graph.Graph, string, int, error) {
 	if req.T == 0 {
 		req.T = 3
@@ -385,35 +430,54 @@ func (s *Server) prepareSolveWith(req *SolveRequest, g *graph.Graph, hash string
 	return g, solveCacheKey(hash, req.K, req.T, req.Seed, req.Local), 0, nil
 }
 
-// solve is the shared engine behind session creation and the local leg
-// of /v1/solve: prepare the instance, then run the cached/coalesced
-// solve. It returns the graph so session creation can keep it, plus the
-// cache status for the X-Cache header. parent scopes this call's spans
-// inside the request trace (nil = under the root; batch items pass
-// their per-item span).
-func (s *Server) solve(ctx context.Context, req *SolveRequest, parent *obs.Span) (*SolveResponse, *graph.Graph, string, int, error) {
-	g, key, status, err := s.prepareSolve(ctx, req, parent)
+// solve prepares and runs a session's initial solve: the session keeps
+// the graph, so it is built even when the key came from the pairs and the
+// answer is cached. It returns the answer decoded from the cached bytes,
+// which round-trip the struct exactly.
+func (s *Server) solve(ctx context.Context, req *SolveRequest) (*SolveResponse, *graph.Graph, int, error) {
+	g, key, status, err := s.prepareSolve(ctx, req, nil)
 	if err != nil {
-		return nil, nil, "", status, err
+		return nil, nil, status, err
 	}
-	resp, cacheStatus, status, err := s.solvePrepared(ctx, req, g, key, parent)
+	if g == nil {
+		if g, err = s.build(ctx, req, nil); err != nil {
+			return nil, nil, http.StatusBadRequest, err
+		}
+	}
+	body, _, status, err := s.solvePrepared(ctx, req, g, key, nil)
 	if err != nil {
-		return nil, nil, "", status, err
+		return nil, nil, status, err
 	}
-	return resp, g, cacheStatus, status, nil
+	resp, err := decodeSolution(body)
+	if err != nil {
+		return nil, nil, http.StatusInternalServerError, err
+	}
+	return resp, g, 0, nil
+}
+
+// decodeSolution decodes an encoded /v1/solve answer for the callers
+// that need the struct.
+func decodeSolution(body []byte) (*SolveResponse, error) {
+	var resp SolveResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return nil, fmt.Errorf("decoding a cached answer: %w", err)
+	}
+	return &resp, nil
 }
 
 // solvePrepared runs the cache → coalesce → lead pipeline for an
 // already-prepared request: consult the cache, join an identical
 // in-flight solve if one exists, otherwise lead a fresh solve on the
-// bounded worker pool under the request deadline.
-func (s *Server) solvePrepared(ctx context.Context, req *SolveRequest, g *graph.Graph, key string, parent *obs.Span) (*SolveResponse, string, int, error) {
+// bounded worker pool under the request deadline. g may be nil (the key
+// came from the pairs); only a leader builds it. It returns the answer as
+// the bytes /v1/solve writes, shared with the cache and the flight.
+func (s *Server) solvePrepared(ctx context.Context, req *SolveRequest, g *graph.Graph, key string, parent *obs.Span) ([]byte, string, int, error) {
 	tr := obs.TraceFrom(ctx)
 	lookup := time.Now()
-	if resp, ok := s.cache.Get(key); ok {
+	if body, ok := s.cache.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
 		tr.AddSpan(parent, "cache", lookup, time.Now()).SetAttr("decision", cacheHit)
-		return resp, cacheHit, http.StatusOK, nil
+		return body, cacheHit, http.StatusOK, nil
 	}
 
 	// Identical request already being solved? Wait for its result instead
@@ -429,7 +493,7 @@ func (s *Server) solvePrepared(ctx context.Context, req *SolveRequest, g *graph.
 			}
 			s.metrics.coalesced.Add(1)
 			sp.SetAttr("decision", cacheCoalesced)
-			return f.resp, cacheCoalesced, http.StatusOK, nil
+			return f.body, cacheCoalesced, http.StatusOK, nil
 		case <-ctx.Done():
 			s.metrics.canceled.Add(1)
 			sp.SetAttr("decision", "abandoned")
@@ -439,21 +503,29 @@ func (s *Server) solvePrepared(ctx context.Context, req *SolveRequest, g *graph.
 	}
 	s.metrics.cacheMisses.Add(1)
 	tr.AddSpan(parent, "cache", lookup, time.Now()).SetAttr("decision", cacheMiss)
-	resp, status, err := s.leadSolve(ctx, req, g, key, parent)
-	s.flights.finish(key, f, resp, status, err)
+	body, status, err := s.leadSolve(ctx, req, g, key, parent)
+	s.flights.finish(key, f, body, status, err)
 	if err != nil {
 		return nil, "", status, err
 	}
-	return resp, cacheMiss, http.StatusOK, nil
+	return body, cacheMiss, http.StatusOK, nil
 }
 
-// leadSolve runs the actual solver job for a flight leader and populates
-// the cache on success. Timing is split at the worker-pickup boundary:
+// leadSolve runs the actual solver job for a flight leader, building the
+// graph first if the key came from the pairs, then encodes the answer
+// once, as the bytes /v1/solve writes (json.Marshal plus a newline), and
+// caches them on success. Timing is split at the worker-pickup boundary:
 // enqueue→start feeds the queue-wait histogram, the job body feeds the
 // solve-latency histogram — so a backed-up queue cannot masquerade as a
 // slow solver, and neither series ever sees cache hits or coalesced
 // followers.
-func (s *Server) leadSolve(ctx context.Context, req *SolveRequest, g *graph.Graph, key string, parent *obs.Span) (*SolveResponse, int, error) {
+func (s *Server) leadSolve(ctx context.Context, req *SolveRequest, g *graph.Graph, key string, parent *obs.Span) ([]byte, int, error) {
+	if g == nil {
+		var err error
+		if g, err = s.build(ctx, req, parent); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+	}
 	if s.cfg.SolveTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.SolveTimeout)
@@ -552,8 +624,16 @@ func (s *Server) leadSolve(ctx context.Context, req *SolveRequest, g *graph.Grap
 	}
 	s.metrics.solves.Add(1)
 	s.metrics.solveLat.ObserveDuration(solveDur)
-	s.cache.Put(key, resp)
-	return resp, http.StatusOK, nil
+	sp := tr.StartSpan(parent, "encode")
+	body, err := json.Marshal(resp)
+	sp.End()
+	if err != nil {
+		s.metrics.solveErrors.Add(1)
+		return nil, http.StatusInternalServerError, fmt.Errorf("encoding the answer: %w", err)
+	}
+	body = append(body, '\n')
+	s.cache.Put(key, body)
+	return body, http.StatusOK, nil
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -585,16 +665,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil {
 		w.Header().Set(clusterRouteHeader, routeLocal)
 	}
-	resp, cacheStatus, status, err := s.solvePrepared(r.Context(), &req, g, key, nil)
+	answer, cacheStatus, status, err := s.solvePrepared(r.Context(), &req, g, key, nil)
 	if err != nil {
 		s.writeSolveError(w, status, err)
 		return
 	}
 	w.Header().Set("X-Cache", cacheStatus)
-	tr := obs.TraceFrom(r.Context())
-	sp := tr.StartSpan(nil, "encode")
-	writeJSON(w, http.StatusOK, resp)
-	sp.End()
+	writeEncoded(w, http.StatusOK, answer)
 }
 
 // handleSolveBatch fans a batch of solve requests across the worker pool
@@ -706,7 +783,7 @@ func (s *Server) solveBatchItem(ctx context.Context, req *SolveRequest, routable
 			g, key, status, err = s.prepareSolveWith(req, inst.g, inst.hash)
 		}
 	}
-	if g == nil && err == nil {
+	if key == "" && err == nil {
 		g, key, status, err = s.prepareSolve(ctx, req, sp)
 	}
 	if err != nil {
@@ -730,9 +807,13 @@ func (s *Server) solveBatchItem(ctx context.Context, req *SolveRequest, routable
 			// Status 0: the forward failed and was recorded; solve here.
 		}
 	}
-	resp, cacheStatus, status, err := s.solvePrepared(ctx, req, g, key, sp)
+	body, cacheStatus, status, err := s.solvePrepared(ctx, req, g, key, sp)
 	if err != nil {
 		return BatchSolveItem{Error: err.Error(), Status: status, Route: route}
+	}
+	resp, err := decodeSolution(body)
+	if err != nil {
+		return BatchSolveItem{Error: err.Error(), Status: http.StatusInternalServerError, Route: route}
 	}
 	return BatchSolveItem{Solution: resp, Status: status, Cache: cacheStatus, Route: route}
 }
@@ -785,7 +866,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	releaseBody(body)
-	resp, g, _, status, err := s.solve(r.Context(), &req, nil)
+	resp, g, status, err := s.solve(r.Context(), &req)
 	if err != nil {
 		s.writeSolveError(w, status, err)
 		return

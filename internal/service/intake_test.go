@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -76,7 +77,9 @@ func solveBody(tb testing.TB, g *graph.Graph, relabel bool) []byte {
 
 // BenchmarkSolveIntake posts bodies shaped like ftperf's three solve
 // workloads through Server.Handler with a warm cache, so it times only
-// the server's own read, decode, build, hash, cache lookup and encode.
+// the server's own work on a hit: read and decode; the pair digest for a
+// canonical body, or the build and the CSR digest for a relabeled one;
+// the cache lookup; and the write of the cached bytes.
 func BenchmarkSolveIntake(b *testing.B) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
@@ -109,12 +112,14 @@ func BenchmarkSolveIntake(b *testing.B) {
 
 // Once the body pool is warm, a cache-hit /v1/solve allocates the same
 // number of objects at any edge count: the body is read into a pooled
-// buffer, and the pairs, the edge list and the CSR are one allocation
-// each. Both bodies stay under maxPooledBody even after the buffer grows.
-// The collector is off while counting: each cycle empties every
-// sync.Pool, this server's and the standard library's, and a pool's next
-// use after one allocates, so a larger body's garbage alone would add
-// objects.
+// buffer, and a canonical list is keyed from its decoded pairs, the one
+// allocation that grows with m; no edge list or CSR is built. So a hit
+// at m = 25 000 allocates under 24 bytes per edge: the pairs take 16,
+// where a copy of them and a CSR would add about 32 more. Both bodies
+// stay under maxPooledBody even after the buffer grows. The collector is
+// off while counting: each cycle empties every sync.Pool, this server's
+// and the standard library's, and a pool's next use after one allocates,
+// so a larger body's garbage alone would add objects.
 func TestSolveIntakeConstantAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -124,7 +129,9 @@ func TestSolveIntakeConstantAllocs(t *testing.T) {
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 	h := s.Handler()
 	w := &discardWriter{header: http.Header{}}
-	allocs := func(m int) float64 {
+	// hit returns the objects and the bytes per edge a cache hit on a
+	// canonical m-edge body allocates.
+	hit := func(m int) (objects, perEdge float64) {
 		// A circulant graph: node u is joined to u+1, …, u+5 mod n.
 		n := m / 5
 		edges := make([]graph.Edge, 0, m)
@@ -141,9 +148,26 @@ func TestSolveIntakeConstantAllocs(t *testing.T) {
 		if w.status != http.StatusOK {
 			t.Fatalf("m = %d: status %d", m, w.status)
 		}
-		return testing.AllocsPerRun(20, func() { postSolve(h, w, body) })
+		const runs = 20
+		objects = testing.AllocsPerRun(runs, func() { postSolve(h, w, body) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			postSolve(h, w, body)
+		}
+		runtime.ReadMemStats(&after)
+		if got := w.header.Get("X-Cache"); got != cacheHit {
+			t.Fatalf("m = %d: X-Cache %q, want hit", m, got)
+		}
+		return objects, float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(m)
 	}
-	if small, big := allocs(1000), allocs(25000); small != big {
+	small, _ := hit(1000)
+	big, perEdge := hit(25000)
+	if small != big {
 		t.Errorf("a cache-hit solve allocates %v objects at m = 1 000 but %v at m = 25 000", small, big)
+	}
+	t.Logf("a canonical cache hit at m = 25 000: %v objects, %.1f bytes per edge", big, perEdge)
+	if perEdge >= 24 {
+		t.Errorf("a canonical cache hit allocates %.1f bytes per edge at m = 25 000, want < 24", perEdge)
 	}
 }

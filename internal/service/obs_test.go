@@ -157,40 +157,32 @@ func TestMetricsFamiliesContiguous(t *testing.T) {
 	}
 }
 
-// Every response carries X-Request-ID; for API calls the ID resolves at
-// /debug/trace/{id} to a span tree with queue wait, cache decision,
-// solver phases and encode. Client-supplied IDs are propagated.
-func TestRequestIDResolvesToTrace(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	resp, _ := postJSON(t, ts.URL+"/v1/solve", gnpSolveBody)
-	id := resp.Header.Get("X-Request-ID")
+// fetchTrace polls baseURL's /debug/trace/{id} until the trace is there
+// (it is ring-committed after the handler returns) and decodes it.
+func fetchTrace(t *testing.T, baseURL, id string) obs.TraceJSON {
+	t.Helper()
 	if id == "" {
-		t.Fatal("solve response missing X-Request-ID")
+		t.Fatal("response missing X-Request-ID")
 	}
-
-	// The trace is ring-committed after the handler returns; poll briefly.
-	var traceBody []byte
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		tresp, b := getBody(t, ts.URL+"/debug/trace/"+id)
-		if tresp.StatusCode == http.StatusOK {
-			traceBody = b
-			break
+		resp, b := getBody(t, baseURL+"/debug/trace/"+id)
+		if resp.StatusCode == http.StatusOK {
+			var tj obs.TraceJSON
+			if err := json.Unmarshal(b, &tj); err != nil {
+				t.Fatalf("trace JSON: %v (%s)", err, b)
+			}
+			return tj
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("trace %s never appeared: status %d", id, tresp.StatusCode)
+			t.Fatalf("trace %s never appeared: status %d", id, resp.StatusCode)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
 
-	var tj obs.TraceJSON
-	if err := json.Unmarshal(traceBody, &tj); err != nil {
-		t.Fatalf("trace JSON: %v (%s)", err, traceBody)
-	}
-	if tj.ID != id || tj.Root.Name != "POST /v1/solve" {
-		t.Fatalf("trace header wrong: %+v", tj)
-	}
+// spansByName indexes every span of the tree under sp by name.
+func spansByName(sp obs.SpanJSON) map[string]obs.SpanJSON {
 	names := map[string]obs.SpanJSON{}
 	var walk func(sp obs.SpanJSON)
 	walk = func(sp obs.SpanJSON) {
@@ -199,10 +191,26 @@ func TestRequestIDResolvesToTrace(t *testing.T) {
 			walk(c)
 		}
 	}
-	walk(tj.Root)
+	walk(sp)
+	return names
+}
+
+// Every response carries X-Request-ID; for API calls the ID resolves at
+// /debug/trace/{id} to a span tree with queue wait, cache decision,
+// solver phases and encode. Client-supplied IDs are propagated.
+func TestRequestIDResolvesToTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+
+	resp, _ := postJSON(t, ts.URL+"/v1/solve", gnpSolveBody)
+	id := resp.Header.Get("X-Request-ID")
+	tj := fetchTrace(t, ts.URL, id)
+	if tj.ID != id || tj.Root.Name != "POST /v1/solve" {
+		t.Fatalf("trace header wrong: %+v", tj)
+	}
+	names := spansByName(tj.Root)
 	for _, want := range []string{"read", "decode", "build", "hash", "cache", "queue-wait", "solve", "fractional", "rounding", "verify", "encode"} {
 		if _, ok := names[want]; !ok {
-			t.Errorf("span %q missing from trace (have %v)", want, traceBody)
+			t.Errorf("span %q missing from trace (have %+v)", want, tj.Root)
 		}
 	}
 	if names["cache"].Attrs["decision"] != "miss" {
@@ -232,6 +240,47 @@ func TestRequestIDResolvesToTrace(t *testing.T) {
 	cresp.Body.Close()
 	if got := cresp.Header.Get("X-Request-ID"); got != "caller-chosen-42" {
 		t.Fatalf("client request ID not propagated: %q", got)
+	}
+
+	// A canonical edge list is keyed from its pairs, so its repeat is a
+	// hit that builds nothing. The same edges in reverse order are not
+	// canonical: they are built and hashed from the CSR, and hit the same
+	// entry with the same bytes.
+	g := udgDeployment(300, 8)
+	edges := g.EdgeList()
+	canonical := string(solveBody(t, g, false))
+	_, miss := postJSON(t, ts.URL+"/v1/solve", canonical)
+	reversed := make(EdgeList, 0, len(edges))
+	for i := len(edges) - 1; i >= 0; i-- {
+		reversed = append(reversed, [2]int{int(edges[i].U), int(edges[i].V)})
+	}
+	reversedBody := string(mustMarshal(t, SolveRequest{Graph: &GraphSpec{N: g.NumNodes(), Edges: reversed}, K: 2, T: 3}))
+	for _, tc := range []struct {
+		name, body string
+		built      bool
+	}{
+		{"canonical repeat", canonical, false},
+		{"reversed", reversedBody, true},
+	} {
+		resp, b := postJSON(t, ts.URL+"/v1/solve", tc.body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+			t.Fatalf("%s: status %d, X-Cache %q", tc.name, resp.StatusCode, resp.Header.Get("X-Cache"))
+		}
+		if !bytes.Equal(b, miss) {
+			t.Fatalf("%s: hit body differs from the miss body", tc.name)
+		}
+		names := spansByName(fetchTrace(t, ts.URL, resp.Header.Get("X-Request-ID")).Root)
+		for _, want := range []string{"read", "decode", "hash", "cache"} {
+			if _, ok := names[want]; !ok {
+				t.Errorf("%s: span %q missing (have %v)", tc.name, want, names)
+			}
+		}
+		if d := names["cache"].Attrs["decision"]; d != "hit" {
+			t.Errorf("%s: cache decision = %q, want hit", tc.name, d)
+		}
+		if _, built := names["build"]; built != tc.built {
+			t.Errorf("%s: build span recorded = %v, want %v", tc.name, built, tc.built)
+		}
 	}
 }
 

@@ -173,9 +173,7 @@ func (s *Server) forwardSolve(w http.ResponseWriter, r *http.Request, owner stri
 		w.Header().Set("Retry-After", ra)
 	}
 	w.Header().Set(clusterRouteHeader, routeForwarded)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(resp.StatusCode)
-	w.Write(payload)
+	writeEncoded(w, resp.StatusCode, payload)
 	sp.End()
 	return true
 }

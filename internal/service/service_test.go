@@ -502,7 +502,7 @@ func TestConcurrentSolvesDeterministic(t *testing.T) {
 	}
 }
 
-// Coalesced followers and the leader serialize the same *SolveResponse:
+// Coalesced followers and the leader write the leader's encoded answer:
 // one deterministic body, one solve, whatever the interleaving.
 func TestSolveBatchEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
