@@ -1,18 +1,26 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
 )
 
-// The keys of the objects a solve body nests, each matched exactly.
+// The keys of the objects a solve or delta body nests, each matched
+// exactly.
 var (
 	solveKeys  = []string{"graph", "family", "k", "t", "seed", "local_delta"}
 	graphKeys  = []string{"n", "edges"}
 	familyKeys = []string{"name", "n", "degree", "seed"}
+	deltaKeys  = []string{"ops"}
+	opKeys     = []string{"op", "nodes", "u", "v"}
 )
+
+// opNames are the op kinds toEngineOps knows. An op string whose raw
+// bytes equal one of them decodes to that constant, without allocating.
+var opNames = [...]string{"fail", "revive", "add_edge", "del_edge", "add_node"}
 
 // UnmarshalJSON decodes a solve body in one walk over data. The request,
 // graph and family objects are walked in place: the edge list goes to
@@ -31,7 +39,15 @@ func (r *SolveRequest) UnmarshalJSON(data []byte) error {
 // UnmarshalJSON decodes a graph object under the rules of
 // SolveRequest.UnmarshalJSON.
 func (g *GraphSpec) UnmarshalJSON(data []byte) error {
-	return decodeWhole(data, g.decodeAt)
+	return decodeWhole(data, func(data []byte, i int) (int, error) {
+		return g.decodeAt(data, i, nil)
+	})
+}
+
+// UnmarshalJSON decodes a delta body in one walk over data, under the
+// rules of SolveRequest.UnmarshalJSON; the op array goes to parseOps.
+func (r *DeltaRequest) UnmarshalJSON(data []byte) error {
+	return decodeWhole(data, r.decodeAt)
 }
 
 // decodeWhole runs decodeAt on the value data holds, leaving the target
@@ -63,7 +79,7 @@ func (r *SolveRequest) decodeAt(data []byte, i int) (int, error) {
 			if r.Graph == nil {
 				r.Graph = new(GraphSpec)
 			}
-			return r.Graph.decodeAt(data, i)
+			return r.Graph.decodeAt(data, i, r.pairs)
 		case "family":
 			if isNull(data, i) {
 				r.Family = nil
@@ -85,18 +101,161 @@ func (r *SolveRequest) decodeAt(data []byte, i int) (int, error) {
 	})
 }
 
-func (g *GraphSpec) decodeAt(data []byte, i int) (int, error) {
+// decodeAt decodes the graph object at data[i:]. An edge list decodes
+// into the capacity of g.Edges, or of the buffer *lend when one is lent;
+// *lend then holds the list as decoded, so a buffer the decode grew is
+// the one that goes back to its pool.
+func (g *GraphSpec) decodeAt(data []byte, i int, lend *EdgeList) (int, error) {
 	return walkObject(data, i, graphKeys, func(key string, i int) (int, error) {
 		if key == "n" {
 			return intValue(data, i, &g.N)
 		}
-		edges, next, err := parsePairs(data, i)
+		dst := g.Edges
+		if lend != nil {
+			dst = *lend
+		}
+		edges, next, err := parsePairs(dst, data, i)
 		if err != nil {
 			return 0, err
+		}
+		if lend != nil && edges != nil {
+			*lend = edges
 		}
 		g.Edges = edges
 		return next, nil
 	})
+}
+
+func (r *DeltaRequest) decodeAt(data []byte, i int) (int, error) {
+	return walkObject(data, i, deltaKeys, func(_ string, i int) (int, error) {
+		ops, next, err := parseOps(data, i)
+		if err != nil {
+			return 0, err
+		}
+		r.Ops = ops
+		return next, nil
+	})
+}
+
+// parseOps decodes the op array (or null) at data[i:] and returns it with
+// the index just past it. The slice is sized by counting '{' bytes,
+// capped at maxDeltaOps+1, so capacity follows the body and never
+// outgrows what the handler accepts by more than one op. The ops are
+// decoded one by one through a single opDecoder, so no op allocates on
+// its own account: every u and v points into one []int of twice the
+// slice's capacity, and only a nodes list allocates. A body therefore
+// allocates the same number of objects whatever its count of edge ops.
+func parseOps(data []byte, i int) ([]DeltaOp, int, error) {
+	if isNull(data, i) {
+		return nil, i + 4, nil
+	}
+	ops := make([]DeltaOp, 0, min(bytes.Count(data[i:], []byte("{")), maxDeltaOps+1))
+	d := opDecoder{data: data}
+	member := d.member
+	next, err := walkArray(data, i, func(i int) (int, error) {
+		ops = append(ops, DeltaOp{})
+		if isNull(data, i) {
+			return i + 4, nil // a null op stays the zero op, as under encoding/json
+		}
+		d.op, d.block = &ops[len(ops)-1], 2*cap(ops)
+		return walkObject(data, i, opKeys, member)
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return ops, next, nil
+}
+
+// opDecoder decodes the members of one op, op, at a time. The operands
+// u and v point into ints, a block of block ints shared by every op of a
+// body; a new block starts only when one fills.
+type opDecoder struct {
+	data  []byte
+	op    *DeltaOp
+	ints  []int
+	block int
+}
+
+func (d *opDecoder) member(key string, i int) (int, error) {
+	switch key {
+	case "op":
+		return d.kind(i)
+	case "nodes":
+		return intsValue(d.data, i, &d.op.Nodes)
+	case "u":
+		return d.operand(i, &d.op.U)
+	default:
+		return d.operand(i, &d.op.V)
+	}
+}
+
+// kind decodes the op string at data[i:]: raw bytes equal to one of
+// opNames become that constant, and any other value goes to
+// encoding/json.
+func (d *opDecoder) kind(i int) (int, error) {
+	if i < len(d.data) && d.data[i] == '"' {
+		if n := bytes.IndexByte(d.data[i+1:], '"'); n >= 0 {
+			for _, name := range opNames {
+				if string(d.data[i+1:i+1+n]) == name {
+					d.op.Op = name
+					return i + n + 2, nil
+				}
+			}
+		}
+	}
+	return jsonValue(d.data, i, &d.op.Op)
+}
+
+// operand decodes the integer or null at data[i:] into *dst: an integer
+// lands in the current block of ints, and a null clears *dst, as
+// encoding/json clears a pointer.
+func (d *opDecoder) operand(i int, dst **int) (int, error) {
+	if isNull(d.data, i) {
+		*dst = nil
+		return i + 4, nil
+	}
+	v, next, err := parseInt(d.data, i, strconv.IntSize)
+	if err != nil {
+		return 0, err
+	}
+	if len(d.ints) == cap(d.ints) {
+		d.ints = make([]int, 0, d.block)
+	}
+	d.ints = append(d.ints, int(v))
+	*dst = &d.ints[len(d.ints)-1]
+	return next, nil
+}
+
+// intsValue decodes the integer array or null at data[i:] into *dst as
+// encoding/json decodes a []int: null clears it, and a null element is 0.
+// The slice is sized by counting the commas before the first ']'.
+func intsValue(data []byte, i int, dst *[]int) (int, error) {
+	if isNull(data, i) {
+		*dst = nil
+		return i + 4, nil
+	}
+	end := bytes.IndexByte(data[i:], ']')
+	if end < 0 {
+		end = len(data) - i
+	}
+	out := make([]int, 0, bytes.Count(data[i:i+end], []byte(","))+1)
+	next, err := walkArray(data, i, func(i int) (int, error) {
+		var v int64
+		next := i + 4
+		if !isNull(data, i) {
+			var err error
+			if v, next, err = parseInt(data, i, strconv.IntSize); err != nil {
+				return 0, err
+			}
+		}
+		out = append(out, int(v))
+		return next, nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	*dst = out
+	return next, nil
 }
 
 func (f *FamilySpec) decodeAt(data []byte, i int) (int, error) {
@@ -150,6 +309,33 @@ func walkObject(data []byte, i int, keys []string, member func(key string, i int
 			return i + 1, nil
 		}
 		return 0, fmt.Errorf("want ',' or '}' after %q", keys[k])
+	}
+}
+
+// walkArray walks the JSON array at data[i:], calling elem with the
+// index of each element's first byte; elem returns the index just past
+// the element. walkArray returns the index just past the closing
+// bracket.
+func walkArray(data []byte, i int, elem func(i int) (int, error)) (int, error) {
+	if i == len(data) || data[i] != '[' {
+		return 0, errors.New("want an array")
+	}
+	if i = skipSpace(data, i+1); i < len(data) && data[i] == ']' {
+		return i + 1, nil
+	}
+	for n := 0; ; n++ {
+		var err error
+		if i, err = elem(i); err != nil {
+			return 0, fmt.Errorf("element %d: %w", n, err)
+		}
+		if i = skipSpace(data, i); i < len(data) && data[i] == ',' {
+			i = skipSpace(data, i+1)
+			continue
+		}
+		if i < len(data) && data[i] == ']' {
+			return i + 1, nil
+		}
+		return 0, fmt.Errorf("want ',' or ']' after element %d", n)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 type EdgeList [][2]int
 
 // UnmarshalJSON decodes the pair array (or null, for no edges) that is
-// the whole of data; see parsePairs.
+// the whole of data into the capacity of *l; see parsePairs.
 func (l *EdgeList) UnmarshalJSON(data []byte) error {
-	pairs, i, err := parsePairs(data, skipSpace(data, 0))
+	pairs, i, err := parsePairs(*l, data, skipSpace(data, 0))
 	if err != nil {
 		return fmt.Errorf("edges: %w", err)
 	}
@@ -31,16 +31,19 @@ const safeDigits = 9 * strconv.IntSize / 32
 // parsePairs decodes the pair array (or null) at data[i:] in one pass and
 // returns it with the index just past it. Each pair must be exactly two
 // JSON integers, with no fraction or exponent, that fit in an int. The
-// slice is sized by counting '[' bytes, capped at one pair per 6 bytes
-// (the shortest pair plus its comma, "[0,1],"), so capacity follows the
-// body's length and never a count the client states. Every read is
-// bounds-checked: data need not have been validated as JSON first.
+// pairs are appended to dst[:0], as encoding/json appends into the
+// capacity of a slice it decodes into; an empty array is an empty list
+// that is never nil. When dst is too small a new slice is sized by
+// counting '[' bytes, capped at one pair per 6 bytes (the shortest pair
+// plus its comma, "[0,1],"), so capacity follows the body's length and
+// never a count the client states. Every read is bounds-checked: data
+// need not have been validated as JSON first.
 //
 // This loop is the hot path of every posted instance, so the digit step
 // is written out in it (skipSpace is inlined by the compiler); parseInt
 // sees only the numbers that step does not cover, and reports them
 // exactly.
-func parsePairs(data []byte, i int) (EdgeList, int, error) {
+func parsePairs(dst EdgeList, data []byte, i int) (EdgeList, int, error) {
 	if isNull(data, i) {
 		return nil, i + 4, nil
 	}
@@ -49,9 +52,15 @@ func parsePairs(data []byte, i int) (EdgeList, int, error) {
 	}
 	start := i
 	if i = skipSpace(data, i+1); i < len(data) && data[i] == ']' {
-		return EdgeList{}, i + 1, nil
+		if dst == nil {
+			return EdgeList{}, i + 1, nil
+		}
+		return dst[:0], i + 1, nil
 	}
-	out := make(EdgeList, 0, min(bytes.Count(data[start:], []byte("[")), (len(data)-start)/6))
+	out := dst[:0]
+	if want := min(bytes.Count(data[start:], []byte("[")), (len(data)-start)/6); cap(out) < want {
+		out = make(EdgeList, 0, want)
+	}
 	for {
 		if i == len(data) || data[i] != '[' {
 			return nil, 0, fmt.Errorf("pair %d is not a [u, v] array", len(out))

@@ -275,7 +275,7 @@ func FuzzSolveRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got SolveRequest
 		err := got.UnmarshalJSON(data)
-		if !exactUniqueKeys(data) {
+		if !exactUniqueKeys(data, solveKeys, graphKeys, familyKeys) {
 			return
 		}
 		var ref parentSolveRequest
@@ -296,12 +296,88 @@ func FuzzSolveRequest(f *testing.F) {
 	})
 }
 
+// parentDeltaRequest and parentDeltaOp copy the delta body's structs
+// without DeltaRequest's UnmarshalJSON method: decodeStrict reads them
+// with plain encoding/json, the decoder the one-walk UnmarshalJSON
+// replaced.
+type (
+	parentDeltaRequest struct {
+		Ops []parentDeltaOp `json:"ops"`
+	}
+	parentDeltaOp struct {
+		Op    string `json:"op"`
+		Nodes []int  `json:"nodes,omitempty"`
+		U     *int   `json:"u,omitempty"`
+		V     *int   `json:"v,omitempty"`
+	}
+)
+
+// sameOps reports whether got holds ref's ops, with u and v compared by
+// value and nil lists told apart from empty ones.
+func sameOps(got []DeltaOp, ref []parentDeltaOp) bool {
+	if (got == nil) != (ref == nil) || len(got) != len(ref) {
+		return false
+	}
+	sameInt := func(a, b *int) bool { return a == nil && b == nil || a != nil && b != nil && *a == *b }
+	for i, op := range got {
+		r := ref[i]
+		if op.Op != r.Op || !reflect.DeepEqual(op.Nodes, r.Nodes) || !sameInt(op.U, r.U) || !sameInt(op.V, r.V) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDeltaRequest checks DeltaRequest.UnmarshalJSON against decodeStrict
+// into parentDeltaRequest on arbitrary bytes, as FuzzSolveRequest does
+// for solve bodies: it never panics, and when every key in the body is
+// exact-case and unique, either both accept with identical ops or both
+// reject.
+func FuzzDeltaRequest(f *testing.F) {
+	for _, s := range []string{
+		`{"ops":[{"op":"add_edge","u":1,"v":2},{"op":"del_edge","u":0,"v":3},{"op":"fail","nodes":[4,5]}]}`,
+		`{"ops":[{"op":"revive","nodes":[4]},{"op":"add_node"}]}`,
+		` { "ops" : [ { "v" : 4 , "op" : "del_edge" , "u" : 3 } , null ] } `,
+		`null`, `{}`, `{"ops":null}`, `{"ops":[]}`, `{"ops":[null]}`, `[]`, ``, `{`, `{"ops":[`,
+		`{"ops":[{"op":"add_edge","u":null,"v":0}]}`, `{"ops":[{"op":"add_edge","u":-0,"v":1}]}`,
+		`{"ops":[{"u":1.0}]}`, `{"ops":[{"u":1e0}]}`, `{"ops":[{"u":"1"}]}`, `{"ops":[{"u":01}]}`,
+		`{"ops":[{"u":9223372036854775808}]}`, `{"ops":[{"v":-9223372036854775808}]}`,
+		`{"ops":[{"op":"add\u005fedge"}]}`, `{"ops":[{"op":"fa\"il"}]}`, `{"ops":[{"op":null}]}`,
+		`{"ops":[{"op":1}]}`, `{"ops":[{"op":"warp"}]}`, `{"ops":[{"nodes":[]}]}`,
+		`{"ops":[{"nodes":null}]}`, `{"ops":[{"nodes":[1,null,-2]}]}`, `{"ops":[{"nodes":[1,]}]}`,
+		`{"ops":[{"nodes":[1.5]}]}`, `{"ops":[{"nodes":{}}]}`, `{"ops":[1]}`, `{"ops":{}}`,
+		`{"ops":[{},]}`, `{"ops":[{"x":1}]}`, `{"ops":[]}x`, `{"ops":[]} {}`,
+		`{"OPS":[]}`, `{"ops":[{"Op":"fail"}]}`, `{"ops":[{"u":1,"u":2}]}`, `{"ops":[],"ops":[]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got DeltaRequest
+		err := got.UnmarshalJSON(data)
+		if !exactUniqueKeys(data, deltaKeys, opKeys) {
+			return
+		}
+		var ref parentDeltaRequest
+		refErr := decodeStrict(bytes.NewReader(data), &ref)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("%q: err %v, encoding/json err %v", data, err, refErr)
+		}
+		if err == nil && !sameOps(got.Ops, ref.Ops) {
+			t.Fatalf("%q: decoded %+v, encoding/json %+v", data, got.Ops, ref.Ops)
+		}
+	})
+}
+
 // exactUniqueKeys reads data's token stream up to its end or first error
 // and reports whether every object key, once unescaped, is unique within
-// its object and is either a solve-body field name or no case-folded
-// match of one (encoding/json reads a case-folded key as the field).
-func exactUniqueKeys(data []byte) bool {
-	names := append(append(append([]string(nil), solveKeys...), graphKeys...), familyKeys...)
+// its object and is either one of the field names in keyLists or no
+// case-folded match of one (encoding/json reads a case-folded key as the
+// field).
+func exactUniqueKeys(data []byte, keyLists ...[]string) bool {
+	var names []string
+	for _, keys := range keyLists {
+		names = append(names, keys...)
+	}
 	type frame struct {
 		keys map[string]bool // nil for an array
 		key  bool            // the object's next token is a key

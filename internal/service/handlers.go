@@ -44,6 +44,11 @@ type SolveRequest struct {
 	T      int         `json:"t,omitempty"`    // default 3
 	Seed   int64       `json:"seed,omitempty"` // default 1
 	Local  bool        `json:"local_delta,omitempty"`
+
+	// pairs, when set, is a buffer from pairPool that the graph's edge
+	// list decodes into, lent by the handler that hands it back with
+	// releasePairs.
+	pairs *EdgeList
 }
 
 // SolutionJSON is the wire form of a solve result, shared by the service
@@ -303,10 +308,11 @@ func releaseBody(body *bytes.Buffer) {
 	bodyPool.Put(body)
 }
 
-// readSolve reads a solve body and decodes it into req, recording the
-// read and decode stages as spans of the request trace. It writes the
-// error response itself; on success the caller owns the body buffer.
-func (s *Server) readSolve(w http.ResponseWriter, r *http.Request, req *SolveRequest) (*bytes.Buffer, bool) {
+// readRequest reads a solve or delta body and decodes it into req with
+// its one-walk UnmarshalJSON, recording the read and decode stages as
+// spans of the request trace. It writes the error response itself; on
+// success the caller owns the body buffer.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, req json.Unmarshaler) (*bytes.Buffer, bool) {
 	tr := obs.TraceFrom(r.Context())
 	sp := tr.StartSpan(nil, "read")
 	body, ok := s.readBody(w, r)
@@ -325,9 +331,39 @@ func (s *Server) readSolve(w http.ResponseWriter, r *http.Request, req *SolveReq
 	return body, true
 }
 
-// maxPooledEdges caps the capacity of an edge buffer kept for reuse
-// (1 MiB of edges), as maxPooledBody does for bodies.
+// maxPooledEdges caps the capacity of an edge or pair buffer kept for
+// reuse (1 MiB of pairs), as maxPooledBody does for bodies.
 const maxPooledEdges = 1 << 16
+
+// pairPool holds the buffers the solve and session handlers lend a
+// request's edge list to decode into. The pairs are dead once the key is
+// computed and, where one is needed, the CSR built (buildGraph copies
+// them), so without the pool a cache hit's largest allocation is garbage
+// the size of the posted list.
+var pairPool = sync.Pool{New: func() any { return new(EdgeList) }}
+
+// lentPairs returns a request that decodes its edge list, if the body
+// has one, into a buffer from pairPool.
+func lentPairs() SolveRequest {
+	return SolveRequest{pairs: pairPool.Get().(*EdgeList)}
+}
+
+// releasePairs hands r's lent pair buffer back to pairPool, unless it has
+// grown past maxPooledEdges, and drops r's edge list, which may share
+// it. No job closure reads the edges: the leader builds the CSR in the
+// handler goroutine before it queues the solve.
+func (r *SolveRequest) releasePairs() {
+	if r.pairs == nil {
+		return
+	}
+	if cap(*r.pairs) <= maxPooledEdges {
+		pairPool.Put(r.pairs)
+	}
+	r.pairs = nil
+	if r.Graph != nil {
+		r.Graph.Edges = nil
+	}
+}
 
 // edgePool holds the buffers buildGraph copies posted pairs into.
 // FromEdges keeps none of its input, so a buffer goes back as soon as the
@@ -637,8 +673,9 @@ func (s *Server) leadSolve(ctx context.Context, req *SolveRequest, g *graph.Grap
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	body, ok := s.readSolve(w, r, &req)
+	req := lentPairs()
+	defer req.releasePairs()
+	body, ok := s.readRequest(w, r, &req)
 	if !ok {
 		return
 	}
@@ -860,8 +897,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	body, ok := s.readSolve(w, r, &req)
+	req := lentPairs()
+	defer req.releasePairs() // the session keeps the built graph, never the pairs
+	body, ok := s.readRequest(w, r, &req)
 	if !ok {
 		return
 	}
@@ -921,9 +959,11 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DeltaRequest
-	if !s.decodeJSON(w, r, &req) {
+	body, ok := s.readRequest(w, r, &req)
+	if !ok {
 		return
 	}
+	releaseBody(body)
 	if len(req.Ops) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("ops must be non-empty"))
 		return

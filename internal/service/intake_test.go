@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"ftclust/internal/geom"
@@ -110,21 +111,25 @@ func BenchmarkSolveIntake(b *testing.B) {
 	}
 }
 
-// Once the body pool is warm, a cache-hit /v1/solve allocates the same
-// number of objects at any edge count: the body is read into a pooled
-// buffer, and a canonical list is keyed from its decoded pairs, the one
-// allocation that grows with m; no edge list or CSR is built. So a hit
-// at m = 25 000 allocates under 24 bytes per edge: the pairs take 16,
-// where a copy of them and a CSR would add about 32 more. Both bodies
-// stay under maxPooledBody even after the buffer grows. The collector is
-// off while counting: each cycle empties every sync.Pool, this server's
-// and the standard library's, and a pool's next use after one allocates,
-// so a larger body's garbage alone would add objects.
+// Once the body and pair pools are warm, a cache-hit /v1/solve allocates
+// the same number of objects at any edge count: the body is read into a
+// pooled buffer, its pairs are decoded into a lent pooled buffer, and a
+// canonical list is keyed from them; no edge list or CSR is built. So a
+// hit at m = 25 000 allocates under 2 bytes per edge, where a fresh pair
+// slice would take 16 and a copy of it and a CSR about 32 more. Both
+// bodies stay under maxPooledBody, and both lists under maxPooledEdges,
+// even after the buffers grow. The collector is off while counting: each
+// cycle empties every sync.Pool, this server's and the standard
+// library's, and a pool's next use after one allocates, so a larger
+// body's garbage alone would add objects. And the test holds to one P,
+// as AllocsPerRun does: a goroutine that moves to another P misses the
+// pools' per-P caches and allocates afresh.
 func TestSolveIntakeConstantAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := New(Config{})
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 	h := s.Handler()
@@ -143,6 +148,9 @@ func TestSolveIntakeConstantAllocs(t *testing.T) {
 		body := solveBody(t, graph.MustFromEdges(n, edges), false)
 		if 2*len(body) > maxPooledBody {
 			t.Fatalf("m = %d: a %d-byte body may outgrow the pool cap", m, len(body))
+		}
+		if m >= maxPooledEdges {
+			t.Fatalf("m = %d: the pair buffer would outgrow the pool cap", m)
 		}
 		postSolve(h, w, body)
 		if w.status != http.StatusOK {
@@ -167,7 +175,158 @@ func TestSolveIntakeConstantAllocs(t *testing.T) {
 		t.Errorf("a cache-hit solve allocates %v objects at m = 1 000 but %v at m = 25 000", small, big)
 	}
 	t.Logf("a canonical cache hit at m = 25 000: %v objects, %.1f bytes per edge", big, perEdge)
-	if perEdge >= 24 {
-		t.Errorf("a canonical cache hit allocates %.1f bytes per edge at m = 25 000, want < 24", perEdge)
+	if perEdge >= 2 {
+		t.Errorf("a canonical cache hit allocates %.1f bytes per edge at m = 25 000, want < 2", perEdge)
+	}
+}
+
+// deltaBody encodes a delta body of edges add_edge and del_edge ops on an
+// n = 2000 deployment, then one fail of 20 nodes, as ftperf's
+// session-mobility steps post it.
+func deltaBody(tb testing.TB, edges int) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(9))
+	ops := make([]DeltaOp, 0, edges+1)
+	for i := 0; i < edges; i++ {
+		u, v := rng.Intn(2000), rng.Intn(2000)
+		op := "add_edge"
+		if i%2 == 1 {
+			op = "del_edge"
+		}
+		ops = append(ops, DeltaOp{Op: op, U: &u, V: &v})
+	}
+	ops = append(ops, DeltaOp{Op: "fail", Nodes: rng.Perm(2000)[:20]})
+	body, err := json.Marshal(DeltaRequest{Ops: ops})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkDeltaDecode decodes an 861-op body shaped like a
+// session-mobility step with DeltaRequest.UnmarshalJSON (walker) and with
+// the strict encoding/json decoder it replaced (strict).
+func BenchmarkDeltaDecode(b *testing.B) {
+	body := deltaBody(b, 860)
+	b.Run("walker", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			var req DeltaRequest
+			if err := req.UnmarshalJSON(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("strict", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			var req parentDeltaRequest
+			if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// A delta body allocates the same number of objects whatever its count
+// of edge ops: one op slice, one block for every u and v, and one list
+// per fail.
+func TestDeltaDecodeConstantAllocs(t *testing.T) {
+	allocs := func(edges int) float64 {
+		body := deltaBody(t, edges)
+		return testing.AllocsPerRun(20, func() {
+			var req DeltaRequest
+			if err := req.UnmarshalJSON(body); err != nil || len(req.Ops) != edges+1 {
+				t.Fatalf("%d edge ops: %d ops decoded, err %v", edges, len(req.Ops), err)
+			}
+		})
+	}
+	small, big := allocs(100), allocs(4000)
+	if small != big {
+		t.Errorf("a delta body allocates %v objects at 100 edge ops but %v at 4 000", small, big)
+	}
+	t.Logf("a delta body: %v objects", big)
+}
+
+// The one-walk delta decoder against encoding/json into parentDeltaRequest
+// on the edge cases of the wire format. Both accept or both reject, with
+// identical ops, except where a key is case-folded or repeated: there the
+// walker alone rejects.
+func TestDeltaRequestDecode(t *testing.T) {
+	for _, tc := range []struct {
+		body     string
+		accept   bool
+		stricter bool // encoding/json accepts what the walker rejects
+	}{
+		{`null`, true, false},
+		{`{}`, true, false},
+		{`{"ops":null}`, true, false},
+		{`[]`, false, false},
+		{`{"ops":[]}`, true, false},
+		{`{"ops":[null]}`, true, false},
+		{` { "ops" : [ { "op" : "del_edge" , "u" : 3 , "v" : 4 } ] } `, true, false},
+		{`{"ops":[{"op":"add_edge","u":null,"v":1}]}`, true, false},
+		{`{"ops":[{"op":"add_edge","u":0,"v":1}]}`, true, false},
+		{`{"ops":[{"op":"add_edge","v":1}]}`, true, false},
+		{`{"ops":[{"op":"add_edge","u":-0,"v":1}]}`, true, false},
+		{`{"ops":[{"op":"add_edge","u":1.0,"v":1}]}`, false, false},
+		{`{"ops":[{"op":"add_edge","u":1e0,"v":1}]}`, false, false},
+		{`{"ops":[{"op":"add_edge","u":"1","v":1}]}`, false, false},
+		{`{"ops":[{"op":"add_edge","u":9223372036854775808,"v":1}]}`, false, false},
+		{`{"ops":[{"op":"add_edge","u":01,"v":1}]}`, false, false},
+		{`{"ops":[{"op":"add\u005fedge","u":0,"v":1}]}`, true, false},
+		{`{"ops":[{"op":"fa\"il"}]}`, true, false},
+		{`{"ops":[{"op":null}]}`, true, false},
+		{`{"ops":[{"op":1}]}`, false, false},
+		{`{"ops":[{"op":"fail","nodes":[]}]}`, true, false},
+		{`{"ops":[{"op":"fail","nodes":null}]}`, true, false},
+		{`{"ops":[{"op":"fail","nodes":[1,null,-2]}]}`, true, false},
+		{`{"ops":[{"op":"fail","nodes":[1.5]}]}`, false, false},
+		{`{"ops":[{"op":"add_node","x":1}]}`, false, false},
+		{`{"ops":[1]}`, false, false},
+		{`{"ops":{}}`, false, false},
+		{`{"ops":[{"op":"add_node"},]}`, false, false},
+		{`{"ops":[{"op":"add_node"}]} {}`, false, false},
+		{`{"ops":[{"op":"add_node"}]}x`, false, false},
+		{`{"OPS":[{"op":"add_node"}]}`, false, true},
+		{`{"ops":[{"Op":"add_node"}]}`, false, true},
+		{`{"ops":[{"op":"add_edge","u":1,"u":2,"v":3}]}`, false, true},
+	} {
+		var got DeltaRequest
+		err := got.UnmarshalJSON([]byte(tc.body))
+		var ref parentDeltaRequest
+		refErr := decodeStrict(strings.NewReader(tc.body), &ref)
+		switch {
+		case (err == nil) != tc.accept:
+			t.Errorf("%s: err %v, want accepted = %v", tc.body, err, tc.accept)
+		case (refErr == nil) != (tc.accept || tc.stricter):
+			t.Errorf("%s: encoding/json err %v, want accepted = %v", tc.body, refErr, tc.accept || tc.stricter)
+		case err == nil && !sameOps(got.Ops, ref.Ops):
+			t.Errorf("%s: decoded %+v, encoding/json %+v", tc.body, got.Ops, ref.Ops)
+		}
+	}
+
+	// 0 is an operand; a missing u is none.
+	decode := func(body string) []DeltaOp {
+		var req DeltaRequest
+		if err := req.UnmarshalJSON([]byte(body)); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return req.Ops
+	}
+	if op := decode(`{"ops":[{"op":"add_edge","u":0,"v":1}]}`)[0]; op.U == nil || *op.U != 0 {
+		t.Errorf(`"u":0 decoded to %v, want a pointer to 0`, op.U)
+	}
+	if op := decode(`{"ops":[{"op":"add_edge","v":1}]}`)[0]; op.U != nil {
+		t.Errorf("a missing u decoded to %v, want nil", *op.U)
+	}
+	if op := decode(`{"ops":[{"op":"add\u005fedge","u":0,"v":1}]}`)[0]; op.Op != "add_edge" {
+		t.Errorf("the escaped op decoded to %q", op.Op)
+	}
+	// A null op is the zero op, which toEngineOps rejects as unknown.
+	if _, err := toEngineOps(decode(`{"ops":[null]}`)); err == nil || !strings.Contains(err.Error(), `unknown op ""`) {
+		t.Errorf(`{"ops":[null]}: toEngineOps err %v, want unknown op ""`, err)
 	}
 }

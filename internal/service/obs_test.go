@@ -284,6 +284,33 @@ func TestRequestIDResolvesToTrace(t *testing.T) {
 	}
 }
 
+// A delta's X-Request-ID resolves to a span tree with the intake stages,
+// read and decode, ahead of the repair and its assess and promote phases.
+func TestDeltaTraceStages(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cr := createSession(t, ts.URL, pathSessionBody(10, 1))
+
+	resp, body := postJSON(t, ts.URL+"/v1/session/"+cr.SessionID+"/delta",
+		`{"ops":[{"op":"fail","nodes":[3]},{"op":"add_node"},{"op":"add_edge","u":0,"v":10}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta: status %d, body %s", resp.StatusCode, body)
+	}
+	id := resp.Header.Get("X-Request-ID")
+	tj := fetchTrace(t, ts.URL, id)
+	if tj.ID != id || tj.Root.Name != "POST /v1/session/{id}/delta" {
+		t.Fatalf("trace header wrong: %+v", tj)
+	}
+	names := spansByName(tj.Root)
+	for _, want := range []string{"read", "decode", "repair", "assess", "promote"} {
+		if _, ok := names[want]; !ok {
+			t.Errorf("span %q missing from trace (have %+v)", want, tj.Root)
+		}
+	}
+	if read, decode, repair := names["read"].Start, names["decode"].Start, names["repair"].Start; read.After(decode) || decode.After(repair) {
+		t.Errorf("stages out of order: read %v, decode %v, repair %v", read, decode, repair)
+	}
+}
+
 // Cache hits and coalesced followers must never touch the solve-latency
 // or queue-wait histograms: those time real solver work only.
 func TestQueueWaitAndSolveLatencySeparation(t *testing.T) {

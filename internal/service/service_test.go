@@ -175,8 +175,10 @@ func TestMalformedEdgePairsRejected(t *testing.T) {
 // A key must match a field's tag exactly and at most once. A case-folded
 // or repeated key anywhere in a solve body is a 400 "malformed JSON" on
 // /v1/solve and /v1/session and rejects a whole batch; in /v1/verify's
-// graph the graph-level ones are a 400 too. An escaped key still matches
-// once unescaped, and a null batch item is still the zero request.
+// graph the graph-level ones are a 400 too, and so is one anywhere in a
+// delta body, which leaves the session as it was. An escaped key still
+// matches once unescaped, and a null batch item is still the zero
+// request.
 func TestStrictKeysRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const graph = `{"n":3,"edges":[[0,1],[1,2]]}`
@@ -201,11 +203,23 @@ func TestStrictKeysRejected(t *testing.T) {
 	for _, g := range graphLevel {
 		posts = append(posts, struct{ path, body string }{"/v1/verify", `{"graph":` + g + `,"k":1,"members":[0,1,2]}`})
 	}
+	sess := createSession(t, ts.URL, pathSessionBody(10, 1))
+	for _, d := range []string{
+		`{"OPS":[{"op":"add_node"}]}`,
+		`{"ops":[{"Op":"add_node"}]}`,
+		`{"ops":[{"op":"add_edge","u":0,"u":5,"v":9}]}`,
+		`{"ops":[{"op":"add_node"}],"ops":[{"op":"add_node"}]}`,
+	} {
+		posts = append(posts, struct{ path, body string }{"/v1/session/" + sess.SessionID + "/delta", d})
+	}
 	for _, p := range posts {
 		resp, body := postJSON(t, ts.URL+p.path, p.body)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "malformed JSON") {
 			t.Errorf("%s %s: status %d, body %s; want 400 malformed JSON", p.path, p.body, resp.StatusCode, body)
 		}
+	}
+	if st, _ := getState(t, ts.URL, sess.SessionID); st.Epoch != 0 || st.N != 10 {
+		t.Errorf("rejected deltas changed the session: %+v", st)
 	}
 
 	resp, body := postJSON(t, ts.URL+"/v1/solve", `{"\u006b":2,"graph":`+graph+`}`)

@@ -317,8 +317,11 @@ func (s *session) delta(ops []maintain.Op, tr *obs.Trace) (DeltaResponse, repair
 }
 
 // fallbackResolveLocked compacts the drifted topology, runs the full
-// deterministic solver on the live subgraph, verifies the result, and
-// adopts it. Callers hold s.mu.
+// deterministic solver on the live subgraph, and adopts the result. Two
+// checks certify the adopted set: the solver fails unless its repaired
+// set passes its own ClosedPP check against the capped demands, and
+// SetMask refuses a mask that leaves a live node under its demand on the
+// drifted topology. Callers hold s.mu.
 func (s *session) fallbackResolveLocked() error {
 	sub, ids := s.engine.LiveSubgraph()
 	if sub.NumNodes() == 0 {
@@ -331,9 +334,6 @@ func (s *session) fallbackResolveLocked() error {
 	sol, err := ftclust.SolveKMDS(sub, s.k, ftclust.WithT(3), ftclust.WithSeed(1))
 	if err != nil {
 		return err
-	}
-	if err := ftclust.Verify(sub, sol, s.k, ftclust.ClosedPP); err != nil {
-		return fmt.Errorf("certification failed: %w", err)
 	}
 	mask := make([]bool, s.engine.N())
 	for _, v := range sol.Members {
