@@ -233,8 +233,7 @@ func TestClusterForwardedByteIdentical(t *testing.T) {
 // truncated relay: forwardSolve must bail before committing anything to
 // the client and report false so the caller solves locally, with the
 // failure counted in ftclust_cluster_forward_errors_total. A body of
-// exactly MaxBodyBytes stays within contract and relays intact, and
-// forwardSolveItem applies the same cap+1 detection on the batch path.
+// exactly MaxBodyBytes stays within contract and relays intact.
 func TestClusterForwardOversizeFallsBack(t *testing.T) {
 	n := startClusterNode(t, nil, func(c *Config) { c.MaxBodyBytes = 256 })
 
@@ -275,20 +274,6 @@ func TestClusterForwardOversizeFallsBack(t *testing.T) {
 		t.Fatalf("at-cap relay X-Cluster-Route=%q, want forwarded", route)
 	}
 
-	// Batch path: the same over-limit detection, surfaced as a status-0
-	// error so solveBatchItem falls back to its local solve.
-	bodySize = 512
-	var sreq SolveRequest
-	if !jsonDecode(solveBodyForSeed(1), &sreq) {
-		t.Fatal("bad test body")
-	}
-	_, _, status, err := n.srv.forwardSolveItem(context.Background(), ownerAddr, &sreq)
-	if err == nil {
-		t.Fatal("forwardSolveItem accepted an over-limit owner body")
-	}
-	if status != 0 {
-		t.Fatalf("over-limit item status = %d, want 0 (local fallback)", status)
-	}
 }
 
 // refuseForwards passes gossip through and fails every forwarded solve,
@@ -302,11 +287,10 @@ func (rt refuseForwards) RoundTrip(r *http.Request) (*http.Response, error) {
 	return rt.next.RoundTrip(r)
 }
 
-// A batch item whose forward fails is solved locally, and the fallback
-// is recorded exactly as /v1/solve records one: once in
-// ftclust_cluster_forward_errors_total and once as a forward-fallback
-// event in /debug/events.
-func TestClusterBatchForwardFallbackRecorded(t *testing.T) {
+// A /v1/solve whose forward fails is solved locally, and the fallback is
+// recorded once in ftclust_cluster_forward_errors_total and once as a
+// forward-fallback event in /debug/events.
+func TestClusterForwardFallbackRecorded(t *testing.T) {
 	n1 := startClusterNode(t, nil, func(c *Config) {
 		c.Cluster.Client = &http.Client{
 			Transport: refuseForwards{next: http.DefaultTransport},
@@ -315,22 +299,19 @@ func TestClusterBatchForwardFallbackRecorded(t *testing.T) {
 	})
 	n2 := startClusterNode(t, []string{n1.addr}, nil)
 	waitPeers(t, []*clusterNode{n1, n2}, 2)
-	item := nonOwnedBody(t, n1, 3000)
+	body := nonOwnedBody(t, n1, 3000)
 
 	errsBefore := n1.srv.cluster.Metrics().ForwardErrors.Value()
-	resp, b := postJSON(t, n1.ts.URL+"/v1/solvebatch", `{"requests":[`+item+`]}`)
+	resp, b := postJSON(t, n1.ts.URL+"/v1/solve", body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d, body %s", resp.StatusCode, b)
+		t.Fatalf("solve: status %d, body %s", resp.StatusCode, b)
 	}
-	var br BatchSolveResponse
-	if err := json.Unmarshal(b, &br); err != nil {
-		t.Fatal(err)
+	if route := resp.Header.Get("X-Cluster-Route"); route != "local" {
+		t.Fatalf("fallen-back solve X-Cluster-Route = %q, want local", route)
 	}
-	if len(br.Results) != 1 {
-		t.Fatalf("got %d results, want 1", len(br.Results))
-	}
-	if r := br.Results[0]; r.Status != http.StatusOK || r.Route != "local" || r.Solution == nil || !r.Solution.Verified {
-		t.Fatalf("fallen-back item was not solved locally: %+v", r)
+	var sol SolutionJSON
+	if err := json.Unmarshal(b, &sol); err != nil || !sol.Verified {
+		t.Fatalf("fallen-back solve was not answered locally: %s", b)
 	}
 	if errs := n1.srv.cluster.Metrics().ForwardErrors.Value(); errs != errsBefore+1 {
 		t.Fatalf("forward_errors went %d → %d, want +1", errsBefore, errs)
@@ -351,8 +332,8 @@ func TestClusterBatchForwardFallbackRecorded(t *testing.T) {
 	if len(fallbacks) != 1 {
 		t.Fatalf("%d forward-fallback events, want exactly 1: %+v", len(fallbacks), events.Events)
 	}
-	if a := fallbacks[0].Attrs; a["path"] != "/v1/solvebatch" || a["owner"] != n2.addr || a["reason"] != "transport" {
-		t.Fatalf("forward-fallback attrs = %v, want path=/v1/solvebatch owner=%s reason=transport", a, n2.addr)
+	if a := fallbacks[0].Attrs; a["path"] != "/v1/solve" || a["owner"] != n2.addr || a["reason"] != "transport" {
+		t.Fatalf("forward-fallback attrs = %v, want path=/v1/solve owner=%s reason=transport", a, n2.addr)
 	}
 }
 
@@ -366,7 +347,7 @@ func nonOwnedBody(t *testing.T, n *clusterNode, base int) string {
 		if !jsonDecode(b, &req) {
 			t.Fatal("bad test body")
 		}
-		_, key, _, err := n.srv.prepareSolve(context.Background(), &req, nil)
+		_, key, err := n.srv.prepareSolve(context.Background(), &req)
 		if err != nil {
 			t.Fatal(err)
 		}

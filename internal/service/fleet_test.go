@@ -71,7 +71,7 @@ func nonOwnedSolveBody(t *testing.T, n *clusterNode) string {
 		if !jsonDecode(b, &req) {
 			t.Fatal("bad test body")
 		}
-		_, key, _, err := n.srv.prepareSolve(context.Background(), &req, nil)
+		_, key, err := n.srv.prepareSolve(context.Background(), &req)
 		if err != nil {
 			t.Fatal(err)
 		}

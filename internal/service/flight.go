@@ -49,9 +49,9 @@ func (g *flightGroup) join(key string) (*flight, bool) {
 
 // finish publishes the leader's outcome and releases the followers. The
 // caller must have inserted the result into the solution cache first (on
-// success): the flight is removed from the group before done is closed, so
-// a request arriving after removal finds the cache populated and never
-// re-solves.
+// success). A request that missed the cache before that insert and joins
+// after the flight is removed leads a new flight; solvePrepared's second
+// cache lookup then finds the answer, so the key is not solved again.
 func (g *flightGroup) finish(key string, f *flight, body []byte, status int, err error) {
 	f.body, f.status, f.err = body, status, err
 	g.mu.Lock()

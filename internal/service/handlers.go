@@ -94,36 +94,6 @@ func NewSolutionJSON(g *graph.Graph, sol *ftclust.Solution, k int) *SolutionJSON
 	}
 }
 
-// maxBatchItems caps the number of requests a single /v1/solvebatch may
-// carry; larger batches get 400.
-const maxBatchItems = 256
-
-// BatchSolveRequest is the body of POST /v1/solvebatch.
-type BatchSolveRequest struct {
-	Requests []SolveRequest `json:"requests"`
-}
-
-// BatchSolveItem is one per-request outcome inside a batch response:
-// exactly one of Solution and Error is set. Status carries the HTTP status
-// the request would have received from /v1/solve; Cache mirrors the
-// X-Cache header (hit, miss or coalesced). In cluster mode Route mirrors
-// the X-Cluster-Route header: "local" when this node owned the item's
-// key, "forwarded" when it was proxied to the owner.
-type BatchSolveItem struct {
-	Solution *SolutionJSON `json:"solution,omitempty"`
-	Error    string        `json:"error,omitempty"`
-	Status   int           `json:"status"`
-	Cache    string        `json:"cache,omitempty"`
-	Route    string        `json:"route,omitempty"`
-}
-
-// BatchSolveResponse is the body of POST /v1/solvebatch; Results holds one
-// item per request, in request order. The response itself is 200 even when
-// individual items failed.
-type BatchSolveResponse struct {
-	Results []BatchSolveItem `json:"results"`
-}
-
 // VerifyRequest is the body of POST /v1/verify.
 type VerifyRequest struct {
 	Graph      *GraphSpec  `json:"graph,omitempty"`
@@ -422,38 +392,27 @@ const (
 // be built only where it is needed: by the flight leader on a miss, or
 // for a session. Any other instance is built here and keyed from its
 // CSR, so a list the pair path does not accept gets the build's error.
-// The build and hash stages are spans under parent in ctx's trace.
-func (s *Server) prepareSolve(ctx context.Context, req *SolveRequest, parent *obs.Span) (*graph.Graph, string, int, error) {
+// The build and hash stages are spans of ctx's trace. Every error it
+// returns is the request's fault, a 400.
+func (s *Server) prepareSolve(ctx context.Context, req *SolveRequest) (*graph.Graph, string, error) {
+	tr := obs.TraceFrom(ctx)
+	var g *graph.Graph
+	hash, keyed := "", false
 	if gs := req.Graph; gs != nil && req.Family == nil && gs.N <= s.cfg.MaxNodes {
 		start := time.Now()
-		if hash, ok := graph.CanonicalPairsHash(gs.N, gs.Edges); ok {
-			obs.TraceFrom(ctx).AddSpan(parent, "hash", start, time.Now())
-			return s.prepareSolveWith(req, nil, hash)
+		if hash, keyed = graph.CanonicalPairsHash(gs.N, gs.Edges); keyed {
+			tr.AddSpan(nil, "hash", start, time.Now())
 		}
 	}
-	g, err := s.build(ctx, req, parent)
-	if err != nil {
-		return nil, "", http.StatusBadRequest, err
+	if !keyed {
+		var err error
+		if g, err = s.build(ctx, req); err != nil {
+			return nil, "", err
+		}
+		sp := tr.StartSpan(nil, "hash")
+		hash = g.CanonicalHash()
+		sp.End()
 	}
-	sp := obs.TraceFrom(ctx).StartSpan(parent, "hash")
-	hash := g.CanonicalHash()
-	sp.End()
-	return s.prepareSolveWith(req, g, hash)
-}
-
-// build materializes the instance a request describes, as the build
-// stage: a span under parent in ctx's trace.
-func (s *Server) build(ctx context.Context, req *SolveRequest, parent *obs.Span) (*graph.Graph, error) {
-	sp := obs.TraceFrom(ctx).StartSpan(parent, "build")
-	defer sp.End()
-	return s.buildGraph(req.Graph, req.Family)
-}
-
-// prepareSolveWith is prepareSolve for an instance with a precomputed
-// canonical hash: g is the built graph, or nil when the key came from the
-// pairs. The batch path materializes each unique family once and
-// prepares every item against the shared copy.
-func (s *Server) prepareSolveWith(req *SolveRequest, g *graph.Graph, hash string) (*graph.Graph, string, int, error) {
 	if req.T == 0 {
 		req.T = 3
 	}
@@ -461,9 +420,17 @@ func (s *Server) prepareSolveWith(req *SolveRequest, g *graph.Graph, hash string
 		req.Seed = 1
 	}
 	if req.T < 1 || req.T > 64 {
-		return nil, "", http.StatusBadRequest, fmt.Errorf("t = %d out of range [1, 64]", req.T)
+		return nil, "", fmt.Errorf("t = %d out of range [1, 64]", req.T)
 	}
-	return g, solveCacheKey(hash, req.K, req.T, req.Seed, req.Local), 0, nil
+	return g, solveCacheKey(hash, req.K, req.T, req.Seed, req.Local), nil
+}
+
+// build materializes the instance a request describes, as the build
+// stage: a span of ctx's trace.
+func (s *Server) build(ctx context.Context, req *SolveRequest) (*graph.Graph, error) {
+	sp := obs.TraceFrom(ctx).StartSpan(nil, "build")
+	defer sp.End()
+	return s.buildGraph(req.Graph, req.Family)
 }
 
 // solve prepares and runs a session's initial solve: the session keeps
@@ -471,16 +438,16 @@ func (s *Server) prepareSolveWith(req *SolveRequest, g *graph.Graph, hash string
 // answer is cached. It returns the answer decoded from the cached bytes,
 // which round-trip the struct exactly.
 func (s *Server) solve(ctx context.Context, req *SolveRequest) (*SolveResponse, *graph.Graph, int, error) {
-	g, key, status, err := s.prepareSolve(ctx, req, nil)
+	g, key, err := s.prepareSolve(ctx, req)
 	if err != nil {
-		return nil, nil, status, err
+		return nil, nil, http.StatusBadRequest, err
 	}
 	if g == nil {
-		if g, err = s.build(ctx, req, nil); err != nil {
+		if g, err = s.build(ctx, req); err != nil {
 			return nil, nil, http.StatusBadRequest, err
 		}
 	}
-	body, _, status, err := s.solvePrepared(ctx, req, g, key, nil)
+	body, _, status, err := s.solvePrepared(ctx, req, g, key)
 	if err != nil {
 		return nil, nil, status, err
 	}
@@ -507,20 +474,23 @@ func decodeSolution(body []byte) (*SolveResponse, error) {
 // bounded worker pool under the request deadline. g may be nil (the key
 // came from the pairs); only a leader builds it. It returns the answer as
 // the bytes /v1/solve writes, shared with the cache and the flight.
-func (s *Server) solvePrepared(ctx context.Context, req *SolveRequest, g *graph.Graph, key string, parent *obs.Span) ([]byte, string, int, error) {
+func (s *Server) solvePrepared(ctx context.Context, req *SolveRequest, g *graph.Graph, key string) ([]byte, string, int, error) {
 	tr := obs.TraceFrom(ctx)
 	lookup := time.Now()
-	if body, ok := s.cache.Get(key); ok {
+	hit := func(body []byte) ([]byte, string, int, error) {
 		s.metrics.cacheHits.Add(1)
-		tr.AddSpan(parent, "cache", lookup, time.Now()).SetAttr("decision", cacheHit)
+		tr.AddSpan(nil, "cache", lookup, time.Now()).SetAttr("decision", cacheHit)
 		return body, cacheHit, http.StatusOK, nil
+	}
+	if body, ok := s.cache.Get(key); ok {
+		return hit(body)
 	}
 
 	// Identical request already being solved? Wait for its result instead
 	// of burning a second worker on the same deterministic computation.
 	f, leader := s.flights.join(key)
 	if !leader {
-		sp := tr.StartSpan(parent, "coalesce-wait")
+		sp := tr.StartSpan(nil, "coalesce-wait")
 		defer sp.End()
 		select {
 		case <-f.done:
@@ -537,9 +507,16 @@ func (s *Server) solvePrepared(ctx context.Context, req *SolveRequest, g *graph.
 				fmt.Errorf("solve abandoned: %w", ctx.Err())
 		}
 	}
+	// A leader whose first lookup came just before the previous leader
+	// cached the answer, and whose join came just after that leader left
+	// the group, finds the answer now (see flightGroup.finish).
+	if body, ok := s.cache.Get(key); ok {
+		s.flights.finish(key, f, body, http.StatusOK, nil)
+		return hit(body)
+	}
 	s.metrics.cacheMisses.Add(1)
-	tr.AddSpan(parent, "cache", lookup, time.Now()).SetAttr("decision", cacheMiss)
-	body, status, err := s.leadSolve(ctx, req, g, key, parent)
+	tr.AddSpan(nil, "cache", lookup, time.Now()).SetAttr("decision", cacheMiss)
+	body, status, err := s.leadSolve(ctx, req, g, key)
 	s.flights.finish(key, f, body, status, err)
 	if err != nil {
 		return nil, "", status, err
@@ -555,10 +532,10 @@ func (s *Server) solvePrepared(ctx context.Context, req *SolveRequest, g *graph.
 // solve-latency histogram — so a backed-up queue cannot masquerade as a
 // slow solver, and neither series ever sees cache hits or coalesced
 // followers.
-func (s *Server) leadSolve(ctx context.Context, req *SolveRequest, g *graph.Graph, key string, parent *obs.Span) ([]byte, int, error) {
+func (s *Server) leadSolve(ctx context.Context, req *SolveRequest, g *graph.Graph, key string) ([]byte, int, error) {
 	if g == nil {
 		var err error
-		if g, err = s.build(ctx, req, parent); err != nil {
+		if g, err = s.build(ctx, req); err != nil {
 			return nil, http.StatusBadRequest, err
 		}
 	}
@@ -578,11 +555,11 @@ func (s *Server) leadSolve(ctx context.Context, req *SolveRequest, g *graph.Grap
 	err := s.queue.Do(ctx, func(jobCtx context.Context, scratch *ftclust.Scratch) {
 		jobStart := time.Now()
 		s.metrics.queueWait.ObserveDuration(jobStart.Sub(enq))
-		tr.AddSpan(parent, "queue-wait", enq, jobStart)
+		tr.AddSpan(nil, "queue-wait", enq, jobStart)
 		s.metrics.inFlight.Add(1)
 		defer s.metrics.inFlight.Add(-1)
 
-		solveSpan := tr.StartSpan(parent, "solve")
+		solveSpan := tr.StartSpan(nil, "solve")
 		defer func() {
 			solveDur = time.Since(jobStart)
 			solveSpan.End()
@@ -660,7 +637,7 @@ func (s *Server) leadSolve(ctx context.Context, req *SolveRequest, g *graph.Grap
 	}
 	s.metrics.solves.Add(1)
 	s.metrics.solveLat.ObserveDuration(solveDur)
-	sp := tr.StartSpan(parent, "encode")
+	sp := tr.StartSpan(nil, "encode")
 	body, err := json.Marshal(resp)
 	sp.End()
 	if err != nil {
@@ -682,9 +659,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// A forward hands the body to proxyPost and sets body to nil, so
 	// the buffer never returns to the pool.
 	defer func() { releaseBody(body) }()
-	g, key, status, err := s.prepareSolve(r.Context(), &req, nil)
+	g, key, err := s.prepareSolve(r.Context(), &req)
 	if err != nil {
-		writeError(w, status, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Cluster routing: proxy a non-owned key to its rendezvous owner
@@ -702,157 +679,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil {
 		w.Header().Set(clusterRouteHeader, routeLocal)
 	}
-	answer, cacheStatus, status, err := s.solvePrepared(r.Context(), &req, g, key, nil)
+	answer, cacheStatus, status, err := s.solvePrepared(r.Context(), &req, g, key)
 	if err != nil {
 		s.writeSolveError(w, status, err)
 		return
 	}
 	w.Header().Set("X-Cache", cacheStatus)
 	writeEncoded(w, http.StatusOK, answer)
-}
-
-// handleSolveBatch fans a batch of solve requests across the worker pool
-// concurrently and returns the outcomes in request order. Items share the
-// solution cache and the coalescing group with every other request, so a
-// batch of identical entries costs one solve. Each item contends for the
-// same bounded queue as /v1/solve; batches far larger than the backlog
-// surface the overflow as per-item 429s rather than unbounded queueing.
-func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchSolveRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	if len(req.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("requests must be non-empty"))
-		return
-	}
-	if len(req.Requests) > maxBatchItems {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d exceeds limit %d", len(req.Requests), maxBatchItems))
-		return
-	}
-	s.metrics.batches.Add(1)
-	shared := s.prepareBatchFamilies(req.Requests)
-	results := make([]BatchSolveItem, len(req.Requests))
-	routable := s.shouldRoute(r.Header)
-	var wg sync.WaitGroup
-	for i := range req.Requests {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sp := obs.TraceFrom(r.Context()).StartSpan(nil, "item-"+strconv.Itoa(i))
-			defer sp.End()
-			results[i] = s.solveBatchItem(r.Context(), &req.Requests[i], routable, sp, shared)
-		}(i)
-	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, BatchSolveResponse{Results: results})
-}
-
-// sharedInstance is a batch-wide once-materialized family instance: the
-// generated graph plus its canonical hash (the hash streams every edge,
-// so recomputing it per item costs as much as another generation pass).
-// The graph is immutable after build, so concurrent items read it freely;
-// failed generations park the error so every item of the family reports
-// it without retrying.
-type sharedInstance struct {
-	g      *graph.Graph
-	hash   string
-	status int
-	err    error
-}
-
-// batchFamilyKey identifies a family spec inside one batch.
-func batchFamilyKey(fs *FamilySpec) string {
-	return fmt.Sprintf("%s|%d|%g|%d", fs.Name, fs.N, fs.Degree, fs.Seed)
-}
-
-// prepareBatchFamilies materializes each unique family spec of a batch
-// exactly once, before the fan-out (the map is read-only afterwards, so
-// the item goroutines share it without locking). Beyond skipping the
-// duplicate generations and hashes, same-family items keep the solver
-// arenas warm: every queue worker's Scratch sees the same (n, m) shape,
-// so repeated items run at steady-state zero allocations. Items carrying
-// inline edge lists are not shared — identical lists still dedupe later
-// at the cache/coalescing layer.
-func (s *Server) prepareBatchFamilies(items []SolveRequest) map[string]*sharedInstance {
-	var shared map[string]*sharedInstance
-	for i := range items {
-		fs := items[i].Family
-		if fs == nil || items[i].Graph != nil {
-			continue
-		}
-		key := batchFamilyKey(fs)
-		if _, ok := shared[key]; ok {
-			s.metrics.batchShared.Add(1)
-			continue
-		}
-		inst := &sharedInstance{}
-		inst.g, inst.err = s.buildGraph(nil, fs)
-		if inst.err != nil {
-			inst.status = http.StatusBadRequest
-		} else {
-			inst.hash = inst.g.CanonicalHash()
-		}
-		if shared == nil {
-			shared = make(map[string]*sharedInstance)
-		}
-		shared[key] = inst
-	}
-	return shared
-}
-
-// solveBatchItem runs one batch entry: prepare locally (against the
-// batch's shared family instance when one exists), and either proxy it
-// to the key's rendezvous owner (routable cluster mode, key not owned
-// here) or solve it on this node's pool. Forward failures fall back to a
-// local solve exactly like /v1/solve.
-func (s *Server) solveBatchItem(ctx context.Context, req *SolveRequest, routable bool, sp *obs.Span, shared map[string]*sharedInstance) BatchSolveItem {
-	var g *graph.Graph
-	var key string
-	var status int
-	var err error
-	if req.Graph == nil && req.Family != nil {
-		if inst, ok := shared[batchFamilyKey(req.Family)]; ok {
-			if inst.err != nil {
-				return BatchSolveItem{Error: inst.err.Error(), Status: inst.status}
-			}
-			g, key, status, err = s.prepareSolveWith(req, inst.g, inst.hash)
-		}
-	}
-	if key == "" && err == nil {
-		g, key, status, err = s.prepareSolve(ctx, req, sp)
-	}
-	if err != nil {
-		return BatchSolveItem{Error: err.Error(), Status: status}
-	}
-	route := ""
-	if s.cluster != nil {
-		route = routeLocal
-	}
-	if routable {
-		if owner, local := s.cluster.Route(key); !local {
-			resp, cacheStatus, fwdStatus, err := s.forwardSolveItem(ctx, owner, req)
-			switch {
-			case err == nil:
-				return BatchSolveItem{Solution: resp, Status: fwdStatus, Cache: cacheStatus, Route: routeForwarded}
-			case fwdStatus != 0:
-				// The owner answered with its own rejection (shedding,
-				// validation): that is the item's authoritative outcome.
-				return BatchSolveItem{Error: err.Error(), Status: fwdStatus, Route: routeForwarded}
-			}
-			// Status 0: the forward failed and was recorded; solve here.
-		}
-	}
-	body, cacheStatus, status, err := s.solvePrepared(ctx, req, g, key, sp)
-	if err != nil {
-		return BatchSolveItem{Error: err.Error(), Status: status, Route: route}
-	}
-	resp, err := decodeSolution(body)
-	if err != nil {
-		return BatchSolveItem{Error: err.Error(), Status: http.StatusInternalServerError, Route: route}
-	}
-	return BatchSolveItem{Solution: resp, Status: status, Cache: cacheStatus, Route: route}
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {

@@ -14,7 +14,7 @@ import (
 // request is classified into exactly one (unknown paths fall into
 // "other") so the per-endpoint series stay bounded whatever clients send.
 var endpointLabels = []string{
-	"/v1/solve", "/v1/solvebatch", "/v1/verify",
+	"/v1/solve", "/v1/verify",
 	"/v1/session", "/v1/session/{id}", "/v1/session/{id}/delta",
 	"/cluster/v1/gossip", "/cluster/v1/peers",
 	"/cluster/v1/fleet", "/cluster/v1/fleet/metrics",
@@ -25,7 +25,7 @@ var endpointLabels = []string{
 // endpointLabel maps a request path onto its route pattern.
 func endpointLabel(path string) string {
 	switch path {
-	case "/v1/solve", "/v1/solvebatch", "/v1/verify", "/v1/session",
+	case "/v1/solve", "/v1/verify", "/v1/session",
 		"/cluster/v1/gossip", "/cluster/v1/peers",
 		"/cluster/v1/fleet", "/cluster/v1/fleet/metrics",
 		"/metrics", "/debug/trace", "/debug/events", "/healthz":
@@ -58,10 +58,8 @@ type metrics struct {
 	solves        *obs.Counter // completed cold solves (cache misses that ran)
 	solveErrors   *obs.Counter // solves that returned an error
 	cacheHits     *obs.Counter
-	cacheMisses   *obs.Counter // flight leaders only; followers count as coalesced
+	cacheMisses   *obs.Counter // flight leaders that solve; followers count as coalesced
 	coalesced     *obs.Counter // requests served by joining an in-flight solve
-	batches       *obs.Counter // /v1/solvebatch requests (items count individually above)
-	batchShared   *obs.Counter // batch items that reused a shared per-family instance
 	verifies      *obs.Counter
 	queueRejected *obs.Counter // overload rejections (full queue or drain)
 	canceled      *obs.Counter // solves lost to deadline/disconnect
@@ -130,8 +128,6 @@ func newMetrics(now time.Time) *metrics {
 		cacheHits:     reg.Counter("ftclust_cache_hits_total", "requests served from the solution cache"),
 		cacheMisses:   reg.Counter("ftclust_cache_misses_total", "flight-leader cache misses"),
 		coalesced:     reg.Counter("ftclust_coalesced_total", "requests coalesced onto an in-flight identical solve"),
-		batches:       reg.Counter("ftclust_batches_total", "solvebatch requests"),
-		batchShared:   reg.Counter("ftclust_batch_shared_instances_total", "batch items that reused a once-materialized family instance"),
 		verifies:      reg.Counter("ftclust_verifies_total", "verify requests"),
 		queueRejected: reg.Counter("ftclust_queue_rejected_total", "solves rejected by a full queue or drain"),
 		canceled:      reg.Counter("ftclust_canceled_total", "solves lost to deadline or disconnect"),

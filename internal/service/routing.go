@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -205,59 +204,6 @@ func (s *Server) forwardFallback(owner, path, reason string, err error) {
 	s.event("forward-fallback", "owner", owner, "path", path, "reason", reason)
 	s.logger.Warn("cluster forward failed; solving locally",
 		"owner", owner, "path", path, "reason", reason, "err", err)
-}
-
-// forwardSolveItem proxies one batch item to owner as a single
-// /v1/solve and decodes the outcome into batch-item form. The owner's
-// non-2xx statuses (its own shedding, validation) are relayed as the
-// item's status; a failed forward is recorded by forwardFallback and
-// returns status 0, so the caller falls back to a local solve.
-func (s *Server) forwardSolveItem(ctx context.Context, owner string, req *SolveRequest) (*SolveResponse, string, int, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, "", http.StatusInternalServerError, err
-	}
-	fail := func(reason string, err error) (*SolveResponse, string, int, error) {
-		s.forwardFallback(owner, "/v1/solvebatch", reason, err)
-		return nil, "", 0, err
-	}
-	// The batch's request ID travels with every item (one client request
-	// keeps one ID fleet-wide), but items do not ask for a trace export:
-	// several remote legs under one ID would collide in the remote
-	// node's trace ring.
-	resp, err := s.proxyPost(ctx, owner, "/v1/solve", body, "", reqIDFrom(ctx), false)
-	if err != nil {
-		return fail("transport", err)
-	}
-	defer resp.Body.Close()
-	// Read cap+1 so an over-limit body is detected rather than silently
-	// truncated (a truncated payload would surface as a confusing JSON
-	// parse error).
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, s.cfg.MaxBodyBytes+1))
-	if err != nil {
-		return fail("read", err)
-	}
-	if int64(len(payload)) > s.cfg.MaxBodyBytes {
-		return fail("oversize", fmt.Errorf("owner %s: response exceeds %d bytes", owner, s.cfg.MaxBodyBytes))
-	}
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		if json.Unmarshal(payload, &eb) == nil && eb.Error != "" {
-			return nil, "", resp.StatusCode, errors.New(eb.Error)
-		}
-		return nil, "", resp.StatusCode, fmt.Errorf("owner %s: status %d", owner, resp.StatusCode)
-	}
-	var sol SolveResponse
-	if err := json.Unmarshal(payload, &sol); err != nil {
-		return fail("malformed", fmt.Errorf("owner %s: malformed solution: %w", owner, err))
-	}
-	return &sol, resp.Header.Get("X-Cache"), http.StatusOK, nil
-}
-
-// reqIDFrom recovers the request ID travelling in ctx's trace ("" when
-// the request is untraced).
-func reqIDFrom(ctx context.Context) string {
-	return obs.TraceFrom(ctx).ID()
 }
 
 // proxyPost performs the single forwarding hop: POST body to owner,

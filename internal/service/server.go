@@ -3,8 +3,6 @@
 // for. Callers no longer link the library and pay a cold solve per query:
 //
 //   - POST /v1/solve          — k-MDS on a posted graph or generated family
-//   - POST /v1/solvebatch     — an array of solve requests fanned across
-//     the pool, results in request order
 //   - POST /v1/verify         — feasibility check of a proposed set
 //   - POST /v1/session        — solve + register a stateful cluster session
 //   - GET  /v1/session/{id}   — session status
@@ -87,8 +85,8 @@ type Config struct {
 	// disabled).
 	SlowRequest time.Duration
 	// Cluster enables cluster mode when non-nil: this node gossips
-	// membership with its peers and routes /v1/solve and /v1/solvebatch
-	// keys to their rendezvous owners.
+	// membership with its peers and routes /v1/solve keys to their
+	// rendezvous owners.
 	Cluster *ClusterConfig
 	// RatePerSec enables per-client token-bucket admission on the /v1/*
 	// routes: each client accrues this many requests per second up to
@@ -234,7 +232,6 @@ func New(cfg Config) *Server {
 	}
 
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
-	s.mux.HandleFunc("POST /v1/solvebatch", s.handleSolveBatch)
 	s.mux.HandleFunc("POST /v1/verify", s.handleVerify)
 	s.mux.HandleFunc("POST /v1/session", s.handleSessionCreate)
 	s.mux.HandleFunc("GET /v1/session/{id}", s.handleSessionGet)

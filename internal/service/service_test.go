@@ -139,8 +139,7 @@ func TestSolveBadRequests(t *testing.T) {
 }
 
 // Every edge pair is exactly two integers: a short, long or null pair is a
-// 400 naming the pair on each endpoint that takes a posted graph, and a
-// batch carrying one is rejected whole.
+// 400 naming the pair on each endpoint that takes a posted graph.
 func TestMalformedEdgePairsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
@@ -159,7 +158,6 @@ func TestMalformedEdgePairsRejected(t *testing.T) {
 			{"/v1/solve", `{"graph":` + graph + `,"k":1}`},
 			{"/v1/session", `{"graph":` + graph + `,"k":1}`},
 			{"/v1/verify", `{"graph":` + graph + `,"k":1,"members":[0,1,2]}`},
-			{"/v1/solvebatch", `{"requests":[` + gnpSolveBody + `,{"graph":` + graph + `,"k":1}]}`},
 		} {
 			resp, body := postJSON(t, ts.URL+ep.path, ep.body)
 			want := fmt.Sprintf("pair %d", tc.pair)
@@ -174,11 +172,9 @@ func TestMalformedEdgePairsRejected(t *testing.T) {
 
 // A key must match a field's tag exactly and at most once. A case-folded
 // or repeated key anywhere in a solve body is a 400 "malformed JSON" on
-// /v1/solve and /v1/session and rejects a whole batch; in /v1/verify's
-// graph the graph-level ones are a 400 too, and so is one anywhere in a
-// delta body, which leaves the session as it was. An escaped key still
-// matches once unescaped, and a null batch item is still the zero
-// request.
+// /v1/solve and /v1/session; in /v1/verify's graph the graph-level ones
+// are a 400 too, and so is one anywhere in a delta body, which leaves the
+// session as it was. An escaped key still matches once unescaped.
 func TestStrictKeysRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const graph = `{"n":3,"edges":[[0,1],[1,2]]}`
@@ -197,8 +193,7 @@ func TestStrictKeysRejected(t *testing.T) {
 	for _, b := range bodies {
 		posts = append(posts,
 			struct{ path, body string }{"/v1/solve", b},
-			struct{ path, body string }{"/v1/session", b},
-			struct{ path, body string }{"/v1/solvebatch", `{"requests":[` + gnpSolveBody + `,` + b + `]}`})
+			struct{ path, body string }{"/v1/session", b})
 	}
 	for _, g := range graphLevel {
 		posts = append(posts, struct{ path, body string }{"/v1/verify", `{"graph":` + g + `,"k":1,"members":[0,1,2]}`})
@@ -226,13 +221,6 @@ func TestStrictKeysRejected(t *testing.T) {
 	var sol SolutionJSON
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &sol) != nil || sol.K != 2 {
 		t.Errorf("escaped k: status %d, body %s; want 200 with k = 2", resp.StatusCode, body)
-	}
-	resp, body = postJSON(t, ts.URL+"/v1/solvebatch", `{"requests":[null]}`)
-	var br BatchSolveResponse
-	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &br) != nil || len(br.Results) != 1 ||
-		br.Results[0].Status != http.StatusBadRequest || br.Results[0].Error != "need a graph or a family" {
-		t.Errorf("null batch item: status %d, body %s; want one item with 400 %q",
-			resp.StatusCode, body, "need a graph or a family")
 	}
 }
 
@@ -514,104 +502,56 @@ func TestConcurrentSolvesDeterministic(t *testing.T) {
 		t.Errorf("misses=%d coalesced=%d hits=%d solves=%d, want 1, %d, 0, 1",
 			m.cacheMisses.Value(), m.coalesced.Value(), m.cacheHits.Value(), m.solves.Value(), parallel-1)
 	}
-}
 
-// Coalesced followers and the leader write the leader's encoded answer:
-// one deterministic body, one solve, whatever the interleaving.
-func TestSolveBatchEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
-	item := `{"family":{"name":"gnp","n":800,"degree":8,"seed":9},"k":2}`
-	distinct := `{"family":{"name":"gnp","n":800,"degree":8,"seed":10},"k":2}`
-	invalid := `{"family":{"name":"gnp","n":50,"degree":4,"seed":1},"k":0}`
-	resp, body := postJSON(t, ts.URL+"/v1/solvebatch",
-		`{"requests":[`+item+`,`+distinct+`,`+item+`,`+invalid+`,`+item+`]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var br BatchSolveResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != 5 {
-		t.Fatalf("got %d results, want 5", len(br.Results))
-	}
-	for i, idx := range []int{0, 1, 2, 4} {
-		r := br.Results[idx]
-		if r.Error != "" || r.Status != http.StatusOK || r.Solution == nil || !r.Solution.Verified {
-			t.Fatalf("item %d (result %d): %+v", i, idx, r)
-		}
-		if c := r.Cache; c != "miss" && c != "hit" && c != "coalesced" {
-			t.Fatalf("result %d: cache = %q", idx, c)
-		}
-	}
-	if r := br.Results[3]; r.Error == "" || r.Status != http.StatusBadRequest || r.Solution != nil {
-		t.Fatalf("invalid item must fail with 400 in place: %+v", r)
-	}
-	// The three identical items share one solve via cache + coalescing and
-	// must be equal; the distinct seed is a different instance.
-	a, _ := json.Marshal(br.Results[0].Solution)
-	b2, _ := json.Marshal(br.Results[2].Solution)
-	c, _ := json.Marshal(br.Results[4].Solution)
-	if !bytes.Equal(a, b2) || !bytes.Equal(a, c) {
-		t.Fatal("identical batch items returned different solutions")
-	}
-	if bytes.Equal(a, mustMarshal(t, br.Results[1].Solution)) {
-		t.Fatal("distinct-seed item returned the duplicate's solution")
-	}
-	if got := s.metrics.batches.Value(); got != 1 {
-		t.Errorf("batches = %d, want 1", got)
-	}
-	if got := s.metrics.solves.Value(); got != 2 {
-		t.Errorf("solves = %d, want 2 (three duplicates coalesce/hit)", got)
-	}
-
-	// Validation: empty and oversized batches are rejected whole.
-	resp, _ = postJSON(t, ts.URL+"/v1/solvebatch", `{"requests":[]}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d, want 400", resp.StatusCode)
-	}
-	big := `{"requests":[` + item + strings.Repeat(`,`+item, maxBatchItems) + `]}`
-	resp, _ = postJSON(t, ts.URL+"/v1/solvebatch", big)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized batch: status %d, want 400", resp.StatusCode)
+	// Duplicates go through /v1/solve; there is no batch route.
+	resp, _ := postJSON(t, ts.URL+"/v1/solvebatch", `{"requests":[`+body+`]}`)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("removed /v1/solvebatch route: status %d, want 404", resp.StatusCode)
 	}
 }
 
-// Same-family batch items must share one materialized instance (one
-// generation + one canonical hash for the whole batch) even when their
-// solver parameters differ — distinct cache keys, so the cache layer
-// cannot dedupe them.
-func TestSolveBatchSharesFamilyInstances(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
-	items := make([]string, 0, 6)
-	for k := 1; k <= 6; k++ {
-		items = append(items,
-			fmt.Sprintf(`{"family":{"name":"gnp","n":600,"degree":8,"seed":3},"k":%d}`, k))
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/solvebatch",
-		`{"requests":[`+strings.Join(items, ",")+`]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var br BatchSolveResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	sizes := make(map[int]bool)
-	for i, r := range br.Results {
-		if r.Error != "" || r.Solution == nil || !r.Solution.Verified {
-			t.Fatalf("item %d: %+v", i, r)
+// Each key is solved once, however its duplicates interleave with the
+// leader. A duplicate can miss the cache just before the leader caches
+// its answer and join just after the leader leaves the flight group; it
+// then leads a flight of its own and must answer from the cache, not
+// solve again. Solves of tiny instances are short, so over thousands of
+// keys some duplicate lands in that window.
+func TestOneSolvePerKey(t *testing.T) {
+	s := New(Config{Workers: 2})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	const dups = 6
+	seen := make(map[string]bool)
+	for seed := int64(1); seed <= 4000; seed++ {
+		req := SolveRequest{Family: &FamilySpec{Name: "gnp", N: 6, Degree: 2, Seed: seed}, K: 1}
+		g, key, err := s.prepareSolve(context.Background(), &req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sizes[len(r.Solution.Members)] = true
+		// Different seeds can give the same graph at n = 6, and so one key.
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		var wg sync.WaitGroup
+		for i := 0; i < dups; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, status, err := s.solvePrepared(context.Background(), &req, g, key); err != nil {
+					t.Errorf("seed %d: status %d: %v", seed, status, err)
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	if len(sizes) < 2 {
-		t.Error("different k values produced identical solutions — items not solved independently")
+	keys := int64(len(seen))
+	m := s.metrics
+	if m.solves.Value() != keys || m.cacheMisses.Value() != keys {
+		t.Errorf("%d solves and %d misses for %d keys, want one of each per key",
+			m.solves.Value(), m.cacheMisses.Value(), keys)
 	}
-	if got := s.metrics.batchShared.Value(); got != 5 {
-		t.Errorf("batch_shared_instances = %d, want 5 (six items, one family)", got)
-	}
-	if got := s.metrics.solves.Value(); got != 6 {
-		t.Errorf("solves = %d, want 6 (distinct k → distinct cache keys)", got)
+	if got := m.cacheHits.Value() + m.coalesced.Value(); got != (dups-1)*keys {
+		t.Errorf("%d hits and coalesced for %d keys, want %d", got, keys, (dups-1)*keys)
 	}
 }
 
